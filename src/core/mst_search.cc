@@ -432,9 +432,7 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
       // Eager completion (extension): a contender on an index with a direct
       // trajectory access path gets its remaining segments through the
       // chain right away. The chain is walked page by page through the
-      // columnar LeafView (zero repack) — pages are read in the same order
-      // FetchTrajectorySegments would read them, so the logical and
-      // physical I/O accounting is unchanged, but no entry vector is ever
+      // columnar LeafView (zero repack): no entry vector is ever
       // materialized and out-of-period segments cost two column loads.
       // In forest mode the chain covers only this tree's segments of the
       // trajectory; coverage-based completion stays correct (the candidate
@@ -444,18 +442,6 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
         if (static_cast<int>(uppers.size()) <= options.k ||
             list.OptDissim(vmax) <= kth) {
           PageId chain = tree->TrajectoryChainHead(id);
-          if (chain == kInvalidPageId) {
-            // Direct-path index without a chain-head hook: fall back to the
-            // materializing fetch.
-            for (const LeafEntry& seg : tree->FetchTrajectorySegments(id)) {
-              const TimeInterval w = period.Intersect(seg.TimeSpan());
-              if (w.Duration() <= 0.0 || list.CoversInterval(w)) continue;
-              const SegmentDissim sd =
-                  ComputeSegmentDissim(query, seg, w, options.policy);
-              list.AddPiece(w, sd.integral, sd.dist_begin, sd.dist_end);
-              ++stats.leaf_entries_seen;
-            }
-          }
           while (chain != kInvalidPageId) {
             const TrajectoryIndex::LeafPageRead link =
                 tree->ReadLeafColumns(chain);
@@ -531,22 +517,8 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
   ResultCache* const rcache =
       (result_cache_ != nullptr && result_cache_->enabled()) ? result_cache_
                                                              : nullptr;
-  // Cost estimate fed to the cache's admission policy: the sample count the
-  // integrator walks — the query's samples inside the period plus the
-  // candidate's. Proportional to refinement time for every policy.
-  const auto samples_in_period = [&period](const Trajectory& t) -> double {
-    const auto& s = t.samples();
-    const auto lo = std::lower_bound(
-        s.begin(), s.end(), period.begin,
-        [](const TPoint& p, double v) { return p.t < v; });
-    const auto hi = std::upper_bound(
-        lo, s.end(), period.end,
-        [](double v, const TPoint& p) { return v < p.t; });
-    return static_cast<double>(hi - lo);
-  };
   QueryFingerprint fp;
   bool fp_ready = false;
-  double query_cost = 0.0;
   const auto refined_dissim = [&](TrajectoryId id,
                                   IntegrationPolicy policy) -> DissimResult {
     if (rcache == nullptr) {
@@ -554,7 +526,6 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
     }
     if (!fp_ready) {
       fp = FingerprintQuery(query);
-      query_cost = samples_in_period(query);
       fp_ready = true;
     }
     // Read the trajectory's write version BEFORE looking up / computing
@@ -570,9 +541,8 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
     const ResultCacheKey key{fp, id, period, policy};
     DissimResult d;
     if (rcache->Lookup(key, version, &d)) return d;
-    const Trajectory& candidate = store_->Get(id);
-    d = ComputeDissim(query, candidate, period, policy);
-    rcache->Insert(key, d, version, query_cost + samples_in_period(candidate));
+    d = ComputeDissim(query, store_->Get(id), period, policy);
+    rcache->Insert(key, d, version);
     return d;
   };
 

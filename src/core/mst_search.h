@@ -98,10 +98,11 @@ struct MstOptions {
   TrajectoryId exclude_id = kInvalidTrajectoryId;
   /// Externally supplied upper bound on the kth-best DISSIM, used to seed
   /// the prune bound that Heuristics 1 and 2 compare against (the search
-  /// starts from min(this, its own kth bound) instead of +inf). The batch
-  /// executor seeds it from an already-completed sibling query with the
-  /// same geometry, period, k reach, and exclude id (see
-  /// QueryExecutor::Options::share_batch_bounds).
+  /// starts from min(this, its own kth bound) instead of +inf). The shard
+  /// layer seeds it from the KthBoundBoard on which the per-shard legs of
+  /// one scatter-gather query publish their kth values: ScatterGatherSearch
+  /// before each leg, the query executor at dequeue time through
+  /// QueryRequest::kth_bound_board (see src/exec/kth_bound_board.h).
   ///
   /// Soundness contract: the value MUST be a true upper bound of the kth
   /// smallest exact DISSIM of this query — then, with exact_postprocess on

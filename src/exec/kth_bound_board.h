@@ -3,8 +3,7 @@
 // logical k-MST query. The shard layer (src/shard/) hands one board to the
 // per-shard legs of a scatter-gather query: a shard that completes first
 // publishes its exact kth result value, and legs that start later seed
-// MstOptions::initial_kth_upper_bound from the board's current minimum —
-// the cross-shard generalization of the executor's per-batch bound sharing.
+// MstOptions::initial_kth_upper_bound from the board's current minimum.
 //
 // Soundness contract (the reason publishing is restricted): every
 // participant of one board must search a *disjoint subset* of one logical

@@ -41,10 +41,6 @@ class TBTree : public TrajectoryIndex {
   std::vector<LeafEntry> RetrieveTrajectory(TrajectoryId id) const;
 
   bool SupportsTrajectoryFetch() const override { return true; }
-  std::vector<LeafEntry> FetchTrajectorySegments(
-      TrajectoryId id) const override {
-    return RetrieveTrajectory(id);
-  }
   PageId TrajectoryChainHead(TrajectoryId id) const override {
     return HeadLeaf(id);
   }

@@ -101,18 +101,11 @@ class TrajectoryIndex {
   /// optimization.
   virtual bool SupportsTrajectoryFetch() const { return false; }
 
-  /// All segments of one trajectory in temporal order, through the direct
-  /// access path; empty when unsupported or unknown id. Node reads are
-  /// accounted like any other access.
-  virtual std::vector<LeafEntry> FetchTrajectorySegments(TrajectoryId) const {
-    return {};
-  }
-
   /// First leaf page of `id`'s segment chain, or kInvalidPageId when the
   /// index has no direct per-trajectory access path (or the id is unknown).
   /// Callers follow next_leaf pointers and read segments straight from each
-  /// node's columnar LeafView — the zero-repack alternative to
-  /// FetchTrajectorySegments, which materializes an entry vector per call.
+  /// node's columnar LeafView. Node reads are accounted like any other
+  /// access.
   virtual PageId TrajectoryChainHead(TrajectoryId) const {
     return kInvalidPageId;
   }

@@ -164,19 +164,20 @@ TEST_P(ExecutorTest, RepeatedBatchesAreStable) {
 
 TEST_P(ExecutorTest, DuplicateQueriesShareBoundsWithoutChangingResults) {
   // A workload with repeats: four distinct queries, each submitted three
-  // times. One worker makes the schedule deterministic — every repeat runs
-  // after its first occurrence completed, so it must consume both the
-  // batch's seeded kth bound and the executor's result cache. The exact
-  // traversal policy is what arms bound sharing (it is gated off under
-  // approximate policies, whose piece sums are not lower bounds of the
-  // exact values).
+  // times under the exact policy. One worker makes the schedule
+  // deterministic — every repeat runs after its first occurrence completed.
+  // What duplicates in one batch share is the result cache's refined
+  // DISSIM values, which sit above the traversal and are exact; every
+  // outcome must therefore equal the uncached serial loop's bitwise, node
+  // accesses included, while the repeats' refinements are served from the
+  // cache.
   std::vector<QueryRequest> requests;
   for (QueryRequest request : MakeRequests(4, 3, 2121)) {
     request.options.policy = IntegrationPolicy::kExact;
     for (int copy = 0; copy < 3; ++copy) requests.push_back(request);
   }
 
-  const BFMstSearch searcher(&index(), store_);  // uncached, unseeded oracle
+  const BFMstSearch searcher(&index(), store_);  // uncached oracle
   std::vector<std::vector<MstResult>> serial_results;
   std::vector<MstStats> serial_stats;
   for (const QueryRequest& request : requests) {
@@ -190,34 +191,35 @@ TEST_P(ExecutorTest, DuplicateQueriesShareBoundsWithoutChangingResults) {
   QueryExecutor::Options opt;
   opt.num_workers = 1;
   QueryExecutor executor(&index(), store_, opt);
+  ASSERT_TRUE(executor.result_cache().enabled());
   const std::vector<QueryOutcome> outcomes = executor.RunBatch(requests);
   ASSERT_EQ(outcomes.size(), requests.size());
 
   for (size_t i = 0; i < outcomes.size(); ++i) {
     const QueryOutcome& out = outcomes[i];
-    // Results are byte-identical to the uncached, unseeded serial loop —
-    // sharing only ever changes the work, not the answer.
     ASSERT_EQ(out.results.size(), serial_results[i].size()) << "query " << i;
     for (size_t r = 0; r < out.results.size(); ++r) {
-      EXPECT_EQ(out.results[r].id, serial_results[i][r].id);
+      EXPECT_EQ(out.results[r].id, serial_results[i][r].id)
+          << "query " << i << " rank " << r;
       EXPECT_EQ(out.results[r].dissim, serial_results[i][r].dissim);
       EXPECT_EQ(out.results[r].error_bound,
                 serial_results[i][r].error_bound);
     }
+    EXPECT_EQ(out.stats.nodes_accessed, serial_stats[i].nodes_accessed)
+        << "query " << i;
+    EXPECT_EQ(out.stats.leaf_entries_seen, serial_stats[i].leaf_entries_seen)
+        << "query " << i;
+    EXPECT_EQ(out.stats.exact_recomputations,
+              serial_stats[i].exact_recomputations)
+        << "query " << i;
     const bool is_repeat = i % 3 != 0;
-    if (!is_repeat) {
-      // First occurrence: no sibling has published, traversal matches the
-      // serial loop exactly.
-      EXPECT_EQ(out.stats.nodes_accessed, serial_stats[i].nodes_accessed);
-      EXPECT_EQ(out.stats.result_cache_hits, 0) << "query " << i;
-    } else {
-      // Repeats run with a sound seeded bound: never more traversal work,
-      // and refinements already published by the first occurrence are served
-      // from the result cache. (A seeded repeat may terminate earlier and
-      // refine a partial survivor its sibling never did, so misses stay
-      // possible — only hits are guaranteed.)
-      EXPECT_LE(out.stats.nodes_accessed, serial_stats[i].nodes_accessed);
+    if (is_repeat) {
+      // A repeat refines the same survivors as its first occurrence, so
+      // every refinement is already resident.
       EXPECT_GT(out.stats.result_cache_hits, 0) << "query " << i;
+      EXPECT_EQ(out.stats.result_cache_misses, 0) << "query " << i;
+    } else {
+      EXPECT_EQ(out.stats.result_cache_hits, 0) << "query " << i;
     }
   }
   EXPECT_GT(executor.result_cache().hits(), 0);
@@ -233,7 +235,6 @@ TEST_P(ExecutorTest, SharingAndCachingOffReproducesSerialStatsExactly) {
   QueryExecutor::Options opt;
   opt.num_workers = 2;
   opt.result_cache_entries = 0;
-  opt.share_batch_bounds = false;
   QueryExecutor executor(&index(), store_, opt);
   ASSERT_FALSE(executor.result_cache().enabled());
 
@@ -250,7 +251,8 @@ TEST_P(ExecutorTest, SharingAndCachingOffReproducesSerialStatsExactly) {
       EXPECT_EQ(outcomes[i].results[r].id, expected[r].id);
       EXPECT_EQ(outcomes[i].results[r].dissim, expected[r].dissim);
     }
-    // With both mechanisms off, even duplicates traverse identically.
+    // With the cache off, even duplicates traverse identically and do no
+    // cache traffic.
     EXPECT_EQ(outcomes[i].stats.nodes_accessed, stats.nodes_accessed);
     EXPECT_EQ(outcomes[i].stats.result_cache_hits, 0);
     EXPECT_EQ(outcomes[i].stats.result_cache_misses, 0);
@@ -349,22 +351,19 @@ TEST_P(ExecutorTest, TrajectoryBatchConvenienceOverload) {
 TEST_P(ExecutorTest, MixedPolicyDuplicatesNeverShareBounds) {
   // One batch that duplicates each query geometry under BOTH the exact and
   // the trapezoid policy (all with exact post-processing, so final values
-  // agree to the eye — exactly the mix where a fingerprint-keyed bound
-  // board could leak a bound across policies). Sharing must be a no-op
-  // across the policy boundary: a trapezoid traversal's piece-sum bounds
-  // are not lower bounds of exact values, so an exact-valued seed could
-  // silently drop a true top-k candidate. The board keys on the policy
-  // (and the postprocess flag) in addition to the gate, making the leak
-  // structurally impossible; this test locks both results and traversal
-  // stats bitwise against a sharing-off executor.
+  // agree to the eye — exactly the mix where state shared across queries
+  // could leak between policies). A trapezoid traversal's piece-sum bounds
+  // are not lower bounds of exact values, so nothing one policy computes
+  // may steer the other. The only state duplicates share is the result
+  // cache, whose key includes the policy; this test locks results and
+  // traversal stats bitwise against a cache-off executor.
   std::vector<QueryRequest> requests;
   for (QueryRequest request : MakeRequests(4, 3, 3434)) {
     request.options.policy = IntegrationPolicy::kExact;
     requests.push_back(request);
     request.options.policy = IntegrationPolicy::kTrapezoid;
     requests.push_back(request);
-    // Repeat the pair so both policies also have a same-policy sibling —
-    // exact/exact sharing stays live while exact/trapezoid must not.
+    // Repeat the pair so both policies also have a same-policy sibling.
     request.options.policy = IntegrationPolicy::kExact;
     requests.push_back(request);
     request.options.policy = IntegrationPolicy::kTrapezoid;
@@ -373,16 +372,15 @@ TEST_P(ExecutorTest, MixedPolicyDuplicatesNeverShareBounds) {
 
   QueryExecutor::Options off_opt;
   off_opt.num_workers = 1;
-  off_opt.share_batch_bounds = false;
   off_opt.result_cache_entries = 0;
   QueryExecutor off_executor(&index(), store_, off_opt);
+  ASSERT_FALSE(off_executor.result_cache().enabled());
   const std::vector<QueryOutcome> expected = off_executor.RunBatch(requests);
 
   QueryExecutor::Options on_opt;
-  on_opt.num_workers = 1;  // deterministic schedule: repeats see the board
-  on_opt.share_batch_bounds = true;
-  on_opt.result_cache_entries = 0;  // isolate the bound board's effect
+  on_opt.num_workers = 1;  // deterministic schedule: repeats see the cache
   QueryExecutor on_executor(&index(), store_, on_opt);
+  ASSERT_TRUE(on_executor.result_cache().enabled());
   const std::vector<QueryOutcome> outcomes = on_executor.RunBatch(requests);
 
   ASSERT_EQ(outcomes.size(), expected.size());
@@ -396,18 +394,21 @@ TEST_P(ExecutorTest, MixedPolicyDuplicatesNeverShareBounds) {
       EXPECT_EQ(outcomes[i].results[r].error_bound,
                 expected[i].results[r].error_bound);
     }
-    const bool trapezoid = (i % 2) == 1;
-    if (trapezoid) {
-      // Trapezoid queries neither publish nor consume: their traversal is
-      // bitwise the sharing-off one even with exact duplicates around.
-      EXPECT_EQ(outcomes[i].stats.nodes_accessed,
-                expected[i].stats.nodes_accessed)
-          << "trapezoid query " << i << " was seeded across the policy gate";
-    } else {
-      // Exact repeats may be seeded by their exact sibling — never more
-      // work than unshared.
-      EXPECT_LE(outcomes[i].stats.nodes_accessed,
-                expected[i].stats.nodes_accessed);
+    EXPECT_EQ(outcomes[i].stats.nodes_accessed,
+              expected[i].stats.nodes_accessed)
+        << "query " << i;
+    EXPECT_EQ(outcomes[i].stats.leaf_entries_seen,
+              expected[i].stats.leaf_entries_seen)
+        << "query " << i;
+    EXPECT_EQ(outcomes[i].stats.exact_recomputations,
+              expected[i].stats.exact_recomputations)
+        << "query " << i;
+    // The second pair of each group repeats the first under the same
+    // policies, so its refinements are all resident.
+    const bool is_repeat = i % 4 >= 2;
+    if (is_repeat) {
+      EXPECT_GT(outcomes[i].stats.result_cache_hits, 0) << "query " << i;
+      EXPECT_EQ(outcomes[i].stats.result_cache_misses, 0) << "query " << i;
     }
   }
 }
