@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "src/core/dissim_batch.h"
 #include "src/util/check.h"
@@ -122,40 +121,33 @@ DissimResult ComputeDissim(const Trajectory& q, const Trajectory& t,
   DissimResult total;
   if (period.Duration() == 0.0) return total;
 
-  // Merge the two timestamp sequences restricted to the open period.
-  static thread_local std::vector<double> cuts;
-  cuts.clear();
-  cuts.reserve(q.size() + t.size() + 2);
-  cuts.push_back(period.begin);
-  for (const TPoint& s : q.samples()) {
-    if (s.t > period.begin && s.t < period.end) cuts.push_back(s.t);
-  }
-  for (const TPoint& s : t.samples()) {
-    if (s.t > period.begin && s.t < period.end) cuts.push_back(s.t);
-  }
-  cuts.push_back(period.end);
-  std::sort(cuts.begin(), cuts.end());
-
-  // Materialize every elementary interval's trinomial into a reused SoA
-  // batch, then integrate in one pass: IntegrateBatch reproduces the scalar
-  // per-interval accumulation bit-for-bit while letting the trapezoid values
-  // vectorize.
+  // Elementary intervals run between consecutive distinct timestamps of
+  // the merged sample sequences, restricted to the period: the next cut is
+  // the earlier of the two cursors' next samples (a shared timestamp yields
+  // one cut), capped at period.end. Both cursors walk forward only, so the
+  // whole pass is linear in the samples inside the period.
+  //
+  // Every elementary interval's trinomial goes into a reused SoA batch,
+  // then one pass integrates them: IntegrateBatch reproduces the scalar
+  // per-interval accumulation bit-for-bit while letting the trapezoid
+  // values vectorize.
   static thread_local TrinomialBatch batch;
   batch.Clear();
-  batch.Reserve(cuts.size());
-  std::optional<Vec2> q_prev = q.PositionAt(cuts.front());
-  std::optional<Vec2> t_prev = t.PositionAt(cuts.front());
-  for (size_t i = 0; i + 1 < cuts.size(); ++i) {
-    const double t0 = cuts[i];
-    const double t1 = cuts[i + 1];
-    if (t1 <= t0) continue;  // duplicate timestamps
-    const std::optional<Vec2> q_next = q.PositionAt(t1);
-    const std::optional<Vec2> t_next = t.PositionAt(t1);
-    MST_DCHECK(q_prev && t_prev && q_next && t_next);
-    batch.Add(
-        DistanceTrinomial::Between(*q_prev, *q_next, *t_prev, *t_next, t1 - t0));
+  batch.Reserve(q.size() + t.size() + 1);
+  TrajectoryCursor qc(q, period.begin);
+  TrajectoryCursor tc(t, period.begin);
+  Vec2 q_prev = qc.PositionAt(period.begin);
+  Vec2 t_prev = tc.PositionAt(period.begin);
+  for (double t0 = period.begin; t0 < period.end;) {
+    const double t1 =
+        std::min({qc.NextSampleTime(), tc.NextSampleTime(), period.end});
+    const Vec2 q_next = qc.PositionAt(t1);
+    const Vec2 t_next = tc.PositionAt(t1);
+    batch.Add(DistanceTrinomial::Between(q_prev, q_next, t_prev, t_next,
+                                         t1 - t0));
     q_prev = q_next;
     t_prev = t_next;
+    t0 = t1;
   }
   total = IntegrateBatch(batch, policy);
   return total;
@@ -174,40 +166,28 @@ SegmentDissim SegmentDissimCore(const Trajectory& q, const TPoint& a,
   MST_CHECK(a.t <= window.begin && window.end <= b.t);
   MST_CHECK(q.Covers(window));
 
-  auto entry_pos = [&](double time) { return Lerp(a, b, time); };
-
-  // Called once per candidate leaf entry on the k-MST hot path: reuse the
-  // cuts scratch (reserve makes even a thread's first leaf allocation-free
-  // after warmup — at most q.size() interior samples + 2 endpoints) and
-  // route the per-interval integrals through the batch kernel (bit-for-bit
-  // identical to the scalar loop, see IntegrateBatch).
-  static thread_local std::vector<double> cuts;
-  cuts.clear();
-  cuts.reserve(q.size() + 2);
-  cuts.push_back(window.begin);
-  for (const TPoint& s : q.samples()) {
-    if (s.t > window.begin && s.t < window.end) cuts.push_back(s.t);
-  }
-  cuts.push_back(window.end);
-  // Query samples are already sorted; cuts is sorted by construction.
-
+  // Called once per candidate leaf entry on the k-MST hot path. One binary
+  // search places the query cursor at window.begin; the cuts are then the
+  // query samples strictly inside the window, read off the cursor in order,
+  // and window.end. The per-interval integrals go through the batch kernel
+  // (bit-for-bit identical to the scalar loop, see IntegrateBatch).
   static thread_local TrinomialBatch batch;
   batch.Clear();
-  batch.Reserve(cuts.size());
+  batch.Reserve(q.size() + 1);
   SegmentDissim out;
-  Vec2 q_prev = *q.PositionAt(cuts.front());
-  Vec2 e_prev = entry_pos(cuts.front());
+  TrajectoryCursor qc(q, window.begin);
+  Vec2 q_prev = qc.PositionAt(window.begin);
+  Vec2 e_prev = Lerp(a, b, window.begin);
   out.dist_begin = Distance(q_prev, e_prev);
-  for (size_t i = 0; i + 1 < cuts.size(); ++i) {
-    const double t0 = cuts[i];
-    const double t1 = cuts[i + 1];
-    if (t1 <= t0) continue;
-    const Vec2 q_next = *q.PositionAt(t1);
-    const Vec2 e_next = entry_pos(t1);
+  for (double t0 = window.begin; t0 < window.end;) {
+    const double t1 = std::min(qc.NextSampleTime(), window.end);
+    const Vec2 q_next = qc.PositionAt(t1);
+    const Vec2 e_next = Lerp(a, b, t1);
     batch.Add(
         DistanceTrinomial::Between(q_prev, q_next, e_prev, e_next, t1 - t0));
     q_prev = q_next;
     e_prev = e_next;
+    t0 = t1;
   }
   out.integral = IntegrateBatch(batch, policy);
   out.dist_end = Distance(q_prev, e_prev);

@@ -22,10 +22,10 @@ namespace mst {
 
 /// Structure-of-arrays buffer of distance trinomials over their elementary
 /// intervals. Reusable: Clear() keeps the capacity, so a thread-local batch
-/// amortizes allocation across queries. Fillers must call Reserve() with the
-/// interval count (cuts.size() is a safe upper bound) before the Add() loop —
-/// that makes even a thread's *first* leaf allocation-free past the initial
-/// reserve, instead of growing all four arrays by doubling mid-fill.
+/// amortizes allocation across queries. Fillers must call Reserve() with an
+/// upper bound of the interval count before the Add() loop — that makes even
+/// a thread's *first* leaf allocation-free past the initial reserve, instead
+/// of growing all four arrays by doubling mid-fill.
 struct TrinomialBatch {
   std::vector<double> a;
   std::vector<double> b;

@@ -4,13 +4,13 @@
 #include <cmath>
 #include <limits>
 #include <queue>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "src/core/candidate.h"
+#include "src/core/upper_bounds.h"
 #include "src/geom/mindist.h"
 #include "src/util/check.h"
 
@@ -37,82 +37,6 @@ struct QueueEntry {
     if (tree != o.tree) return tree > o.tree;
     return page > o.page;
   }
-};
-
-// The "k-buffer": tracks, for every live candidate, an upper bound of its
-// true DISSIM (exact-side value for completed candidates, PESDISSIM for
-// partial ones) and answers "current kth best upper bound" queries.
-//
-// KthValue() is consulted for every processed leaf entry (Heuristic 1, the
-// batched leaf prune) and on every heap pop (Heuristic 2), so the bounds
-// are kept split into the k smallest (`topk_`) and the rest, with
-// max(topk_) <= min(rest_): the kth value is then the largest element of
-// topk_, read in O(1) instead of advancing k set nodes per call.
-class UpperBounds {
- public:
-  explicit UpperBounds(int k) : k_(k) {}
-
-  void Update(TrajectoryId id, double upper) {
-    const auto it = current_.find(id);
-    if (it != current_.end()) {
-      EraseOrdered({it->second, id});
-      it->second = upper;
-    } else {
-      current_[id] = upper;
-    }
-    InsertOrdered({upper, id});
-  }
-
-  void Remove(TrajectoryId id) {
-    const auto it = current_.find(id);
-    if (it == current_.end()) return;
-    EraseOrdered({it->second, id});
-    current_.erase(it);
-  }
-
-  /// kth smallest upper bound, or +inf while fewer than k candidates exist.
-  double KthValue() const {
-    if (static_cast<int>(topk_.size()) < k_) return kInf;
-    return topk_.rbegin()->first;
-  }
-
-  size_t size() const { return current_.size(); }
-
- private:
-  using Key = std::pair<double, TrajectoryId>;
-
-  void InsertOrdered(const Key& key) {
-    if (static_cast<int>(topk_.size()) < k_) {
-      topk_.insert(key);
-      return;
-    }
-    const auto last = std::prev(topk_.end());
-    if (key < *last) {
-      rest_.insert(*last);
-      topk_.erase(last);
-      topk_.insert(key);
-    } else {
-      rest_.insert(key);
-    }
-  }
-
-  void EraseOrdered(const Key& key) {
-    const auto it = topk_.find(key);
-    if (it != topk_.end()) {
-      topk_.erase(it);
-      if (!rest_.empty()) {
-        topk_.insert(*rest_.begin());
-        rest_.erase(rest_.begin());
-      }
-    } else {
-      rest_.erase(rest_.find(key));
-    }
-  }
-
-  int k_;
-  std::set<Key> topk_;  // the k smallest bounds (all of them while < k)
-  std::set<Key> rest_;  // everything above, max(topk_) <= min(rest_)
-  std::unordered_map<TrajectoryId, double> current_;
 };
 
 // Spatial rectangle of the query's positions over `period` (the query is
@@ -571,14 +495,17 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
     results.push_back(r);
   }
 
-  std::sort(results.begin(), results.end(),
-            [](const MstResult& a, const MstResult& b) {
-              if (a.dissim != b.dissim) return a.dissim < b.dissim;
-              return a.id < b.id;
-            });
-  if (results.size() > static_cast<size_t>(options.k)) {
-    results.resize(static_cast<size_t>(options.k));
-  }
+  // Rank by (dissim, id) and keep the first k. The survivors often
+  // outnumber k many times over; shrinking drops their spare capacity so a
+  // caller that holds answers holds k results each, not the whole pool.
+  const size_t keep = std::min(results.size(), static_cast<size_t>(options.k));
+  std::partial_sort(results.begin(), results.begin() + keep, results.end(),
+                    [](const MstResult& a, const MstResult& b) {
+                      if (a.dissim != b.dissim) return a.dissim < b.dissim;
+                      return a.id < b.id;
+                    });
+  results.resize(keep);
+  results.shrink_to_fit();
 
   stats.nodes_accessed =
       TrajectoryIndex::ThreadNodeAccesses() - accesses_before;

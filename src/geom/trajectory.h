@@ -4,7 +4,9 @@
 #ifndef MST_GEOM_TRAJECTORY_H_
 #define MST_GEOM_TRAJECTORY_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -91,6 +93,47 @@ class Trajectory {
  private:
   TrajectoryId id_;
   std::vector<TPoint> samples_;
+};
+
+/// Forward-only position lookup along one trajectory, for kernels that visit
+/// a non-decreasing sequence of instants (the elementary-interval cuts of
+/// DISSIM). Construction costs one binary search; every PositionAt after
+/// that advances a sample index, amortized O(1). Each PositionAt(t) picks
+/// exactly the segment Trajectory::PositionAt(t) picks — the one before the
+/// first sample later than t, clamped to the last segment at end_time() —
+/// so Lerp gets the same inputs and the position is bit-identical.
+class TrajectoryCursor {
+ public:
+  /// Positions the cursor at `t`, which must lie in the lifespan.
+  TrajectoryCursor(const Trajectory& traj, double t)
+      : samples_(traj.samples().data()),
+        size_(traj.size()),
+        next_(static_cast<size_t>(
+            std::upper_bound(samples_, samples_ + size_, t, Before) -
+            samples_)) {}
+
+  /// Position at `t`; `t` must lie in the lifespan and be no earlier than
+  /// any instant the cursor was positioned at or asked for before.
+  Vec2 PositionAt(double t) {
+    while (next_ < size_ && samples_[next_].t <= t) ++next_;
+    if (size_ == 1) return samples_[0].p;
+    const size_t seg = (next_ < size_ ? next_ : size_ - 1) - 1;
+    return Lerp(samples_[seg], samples_[seg + 1], t);
+  }
+
+  /// Timestamp of the first sample later than every instant seen so far;
+  /// +infinity once the cursor has passed the last sample.
+  double NextSampleTime() const {
+    return next_ < size_ ? samples_[next_].t
+                         : std::numeric_limits<double>::infinity();
+  }
+
+ private:
+  static bool Before(double t, const TPoint& s) { return t < s.t; }
+
+  const TPoint* samples_;
+  size_t size_;
+  size_t next_;  // index of the first sample with timestamp > last instant
 };
 
 /// Read-side lookup interface of a trajectory table. BFMSTSearch needs only

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "src/geom/trajectory.h"
@@ -112,6 +115,56 @@ TEST(TrajectoryTest, SingleSampleTrajectory) {
 TEST(TrajectoryDeathTest, RejectsUnsortedTimestamps) {
   EXPECT_DEATH(Trajectory(1, {{1.0, {0, 0}}, {0.5, {1, 1}}}), "increase");
   EXPECT_DEATH(Trajectory(1, {{1.0, {0, 0}}, {1.0, {1, 1}}}), "increase");
+}
+
+// The cursor must reproduce PositionAt bit for bit over any non-decreasing
+// time sequence: sample instants (where the segment choice flips), repeated
+// instants, runs that skip many samples, and end_time() (the clamp).
+TEST(TrajectoryCursorTest, MatchesPositionAtOnNonDecreasingTimes) {
+  Rng rng(61);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = 2 + static_cast<int>(rng.UniformIndex(40));
+    const Trajectory traj =
+        testing_util::RandomIrregularTrajectory(&rng, 1, n);
+    std::vector<double> times;
+    for (int i = 0; i < 60; ++i) {
+      switch (rng.UniformIndex(4)) {
+        case 0:
+          times.push_back(traj.sample(rng.UniformIndex(traj.size())).t);
+          break;
+        case 1:
+          times.push_back(traj.end_time());
+          break;
+        default:
+          times.push_back(rng.Uniform(traj.start_time(), traj.end_time()));
+      }
+    }
+    std::sort(times.begin(), times.end());
+    // Duplicate a few instants in place (still non-decreasing).
+    for (size_t i = 1; i < times.size(); i += 7) times[i] = times[i - 1];
+
+    TrajectoryCursor cursor(traj, times.front());
+    for (const double t : times) {
+      const Vec2 got = cursor.PositionAt(t);
+      const Vec2 want = *traj.PositionAt(t);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(Vec2)), 0)
+          << "t=" << t << " trial " << trial;
+      const auto later =
+          std::upper_bound(traj.samples().begin(), traj.samples().end(), t,
+                           [](double v, const TPoint& s) { return v < s.t; });
+      const double want_next = later == traj.samples().end()
+                                   ? std::numeric_limits<double>::infinity()
+                                   : later->t;
+      EXPECT_EQ(cursor.NextSampleTime(), want_next);
+    }
+  }
+}
+
+TEST(TrajectoryCursorTest, SingleSampleTrajectory) {
+  const Trajectory still(1, {{2.0, {3.0, 4.0}}});
+  TrajectoryCursor cursor(still, 2.0);
+  EXPECT_EQ(cursor.PositionAt(2.0), (Vec2{3.0, 4.0}));
+  EXPECT_EQ(cursor.NextSampleTime(), std::numeric_limits<double>::infinity());
 }
 
 TEST(TrajectoryStoreTest, AddFindGet) {
