@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/index/node_codec_v3.h"
 #include "src/util/check.h"
 
 namespace mst {
@@ -18,7 +17,6 @@ struct BufferFrame {
   bool dirty = false;
   int pins = 0;        // total outstanding guards
   int write_pins = 0;  // guards from PinMutable (Flush skips these frames)
-  size_t charge = 1;   // budget units this frame costs while resident
 };
 
 struct BufferShard {
@@ -31,8 +29,7 @@ struct BufferShard {
   // lru.end(). Page ids are small dense integers, so this replaces a hash
   // lookup per pin — the hottest buffer operation — with an array index.
   std::vector<std::list<BufferFrame>::iterator> index;
-  size_t budget = 1;   // budget units this shard may keep resident
-  size_t charged = 0;  // sum of resident frames' charges
+  size_t budget = 1;  // frames this shard may keep resident
 
   std::list<BufferFrame>::iterator* Slot(PageId id, size_t shard_count) {
     const size_t slot = static_cast<size_t>(id) / shard_count;
@@ -111,21 +108,11 @@ BufferShard& BufferManager::ShardFor(PageId id) const {
 }
 
 void BufferManager::AssignShardBudgets() {
-  // In byte mode the same per-shard split applies, just denominated in
-  // bytes: a shard may keep its share of capacity_ * kPageSize occupied
-  // bytes resident, so compressed pages pack more frames into it.
-  const size_t unit = byte_budget_ ? kPageSize : 1;
   const size_t n = shards_.size();
   for (size_t i = 0; i < n; ++i) {
     shards_[i]->budget =
-        std::max<size_t>(1, capacity_ / n + (i < capacity_ % n)) * unit;
+        std::max<size_t>(1, capacity_ / n + (i < capacity_ % n));
   }
-}
-
-size_t BufferManager::ChargeOf(const Page& page) const {
-  // PageOccupiedBytes covers every flavor: compressed v3 leaf and internal
-  // pages charge their payload, raw v1/v2 pages the full 4 KB.
-  return byte_budget_ ? PageOccupiedBytes(page) : 1;
 }
 
 void BufferManager::EvictLocked(BufferShard& shard) {
@@ -134,7 +121,7 @@ void BufferManager::EvictLocked(BufferShard& shard) {
   // else is pinned the shard temporarily exceeds its budget — pins are
   // short-lived.
   auto it = shard.lru.end();
-  while (shard.charged > shard.budget && it != shard.lru.begin()) {
+  while (shard.lru.size() > shard.budget && it != shard.lru.begin()) {
     const auto candidate = std::prev(it);
     if (candidate == shard.lru.begin()) break;
     if (candidate->pins > 0) {
@@ -144,7 +131,6 @@ void BufferManager::EvictLocked(BufferShard& shard) {
     if (candidate->dirty) {
       file_->Write(candidate->id, candidate->page);
     }
-    shard.charged -= candidate->charge;
     *shard.Slot(candidate->id, shards_.size()) = shard.lru.end();
     it = shard.lru.erase(candidate);
   }
@@ -170,8 +156,6 @@ PageGuard BufferManager::PinImpl(PageId id, bool writable,
       // spares a racy frame-under-construction state.
       file_->Read(id, &inserted.page);
     }
-    inserted.charge = ChargeOf(inserted.page);
-    shard.charged += inserted.charge;
     *shard.Slot(id, shards_.size()) = shard.lru.begin();
   } else {
     shard.lru.splice(shard.lru.begin(), shard.lru, resident);
@@ -205,11 +189,6 @@ void BufferManager::Unpin(BufferShard* shard, BufferFrame* frame,
   if (writable) {
     MST_DCHECK(frame->write_pins > 0);
     --frame->write_pins;
-    // The page bytes may have been rewritten under this pin (e.g. a leaf
-    // re-encoded with different column sizes) — refresh its charge.
-    const size_t charge = ChargeOf(frame->page);
-    shard->charged += charge - frame->charge;
-    frame->charge = charge;
   }
   // An over-budget shard (every frame was pinned when it grew) shrinks back
   // as soon as pins drain.
@@ -228,8 +207,6 @@ PageId BufferManager::AllocatePage() {
   BufferFrame& frame = shard.lru.front();
   frame.id = id;
   frame.dirty = true;
-  frame.charge = ChargeOf(frame.page);
-  shard.charged += frame.charge;
   *shard.Slot(id, shards_.size()) = shard.lru.begin();
   EvictLocked(shard);
   return id;
@@ -256,7 +233,6 @@ void BufferManager::Clear() {
         it->dirty = false;
       }
       if (it->pins == 0) {
-        shard->charged -= it->charge;
         *shard->Slot(it->id, shards_.size()) = shard->lru.end();
         it = shard->lru.erase(it);
       } else {
@@ -272,21 +248,6 @@ void BufferManager::SetCapacity(size_t capacity_pages) {
   AssignShardBudgets();
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    EvictLocked(*shard);
-  }
-}
-
-void BufferManager::SetByteBudgetMode(bool enabled) {
-  if (byte_budget_ == enabled) return;
-  byte_budget_ = enabled;
-  AssignShardBudgets();
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->charged = 0;
-    for (BufferFrame& frame : shard->lru) {
-      frame.charge = ChargeOf(frame.page);
-      shard->charged += frame.charge;
-    }
     EvictLocked(*shard);
   }
 }

@@ -134,17 +134,6 @@ class BufferManager {
   /// shard.
   void SetCapacity(size_t capacity_pages);
 
-  /// Switches between the classic page-count budget (every frame costs 1)
-  /// and a byte budget of `capacity() * kPageSize`, where a resident frame
-  /// is charged its page's *occupied* bytes. Uncompressed pages occupy the
-  /// full 4 KB, so page mode and byte mode are identical for them; v3
-  /// compressed leaves charge only header + compressed columns, so the same
-  /// budget keeps proportionally more of a compressed index resident. A
-  /// frame's charge is refreshed when a write pin drains.
-  void SetByteBudgetMode(bool enabled);
-
-  bool byte_budget_mode() const { return byte_budget_; }
-
   size_t capacity() const { return capacity_; }
 
   size_t shard_count() const { return shards_.size(); }
@@ -183,17 +172,11 @@ class BufferManager {
   // Caller holds the shard mutex.
   void EvictLocked(internal::BufferShard& shard);
 
-  // Distributes capacity_ over the shards (±1 frame, min 1; scaled to bytes
-  // in byte-budget mode).
+  // Distributes capacity_ over the shards (±1 frame, min 1).
   void AssignShardBudgets();
-
-  // Budget units a resident `page` costs: 1 in page mode, occupied bytes in
-  // byte mode.
-  size_t ChargeOf(const Page& page) const;
 
   PageFile* file_;
   size_t capacity_;
-  bool byte_budget_ = false;
   std::vector<std::unique_ptr<internal::BufferShard>> shards_;
   std::atomic<int64_t> logical_reads_{0};
   std::atomic<int64_t> misses_{0};

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/index/leaf_codec_v3.h"
-#include "src/index/node_codec_v3.h"
 #include "src/util/check.h"
 
 namespace mst {
@@ -13,7 +11,7 @@ namespace {
 
 // v2 leaf-page header field offsets (see the layout comment in node.h).
 // Byte 0 is the level (0 for leaves), byte 1 the format version — the byte
-// that is provably 0 in every v1 page, where it holds the second byte of the
+// that is 0 in every internal page, where it holds the second byte of the
 // little-endian int32 level.
 constexpr size_t kV2OffLevel = 0;
 constexpr size_t kV2OffVersion = 1;
@@ -26,6 +24,18 @@ constexpr size_t kV2OffBounds = 16;
 constexpr size_t kV2OffColumns = kLeafHeaderV2Size;
 
 constexpr uint8_t kV2FlagTimeSorted = 1u;
+
+// Internal-page (v1) header field offsets.
+constexpr size_t kV1OffLevel = 0;
+constexpr size_t kV1OffCount = 4;
+constexpr size_t kV1OffParent = 8;
+constexpr size_t kV1OffPrevLeaf = 12;
+constexpr size_t kV1OffNextLeaf = 16;
+constexpr size_t kV1OffPad = 20;
+
+bool IsLeafPage(const Page& page) {
+  return page.ReadAt<uint8_t>(kV2OffVersion) == kLeafPageVersion;
+}
 
 static_assert(sizeof(Mbb3) == 48, "v2 header embeds the MBB verbatim");
 static_assert(kV2OffBounds + sizeof(Mbb3) == kLeafHeaderV2Size);
@@ -90,46 +100,11 @@ std::vector<LeafEntry> LeafColumns::ToVector() const {
   return out;
 }
 
-void LeafColumns::AssignFromAos(const uint8_t* src, int count) {
-  clear();
-  if (count == 0) return;
-  EnsureBlock();
-  LeafBlock& b = *block_;
-  for (int i = 0; i < count; ++i) {
-    LeafEntry e;
-    std::memcpy(&e, src + static_cast<size_t>(i) * kNodeEntrySize, sizeof(e));
-    b.t0[i] = e.t0;
-    b.x0[i] = e.x0;
-    b.y0[i] = e.y0;
-    b.t1[i] = e.t1;
-    b.x1[i] = e.x1;
-    b.y1[i] = e.y1;
-    b.traj_id[i] = e.traj_id;
-    if (i > 0 && (e.t0 < b.t0[i - 1] ||
-                  (e.t0 == b.t0[i - 1] && e.traj_id < b.traj_id[i - 1]))) {
-      sorted_ = false;
-    }
-    mbb_.Expand(Mbb3::OfSegment(e.Start(), e.End()));
-  }
-  count_ = count;
-}
-
-LeafBlock* LeafColumns::PrepareForDecode(int count, bool time_sorted,
-                                         const Mbb3& bounds) {
-  // Like AssignFromSoa, no re-zeroing: the v3 decoder writes every column
-  // in full (values + zero tail).
-  if (block_ == nullptr) block_ = AcquireBlock();
-  count_ = count;
-  sorted_ = time_sorted;
-  mbb_ = bounds;
-  return block_.get();
-}
-
 void LeafColumns::AssignFromSoa(const uint8_t* src, int count,
                                 bool time_sorted, const Mbb3& bounds) {
   // No EnsureBlock here: the full-block copy overwrites every byte anyway
-  // (v2 pages carry the zero tail), so a recycled block needs no re-zeroing
-  // — this is the decode hot path with the node cache disabled.
+  // (leaf pages carry the zero tail), so a recycled block needs no
+  // re-zeroing — this is the decode hot path with the node cache disabled.
   if (block_ == nullptr) block_ = AcquireBlock();
   std::memcpy(block_.get(), src, sizeof(LeafBlock));
   count_ = count;
@@ -144,29 +119,13 @@ Mbb3 IndexNode::Bounds() const {
   return m;
 }
 
-void IndexNode::EncodeTo(Page* page, LeafPageFormat leaf_format,
-                         InternalPageFormat internal_format) const {
+void IndexNode::EncodeTo(Page* page) const {
   const int count = Count();
   MST_CHECK_MSG(count <= kCapacity, "node overflow at encode time");
 
-  if (IsLeaf() && leaf_format == LeafPageFormat::kV3Compressed) {
-    if (EncodeLeafV3(*this, page)) return;
-    // Incompressible leaf: the compressed columns don't fit the page, so
-    // degrade to the raw v2 layout. Decode dispatches on the version byte,
-    // so readers never notice.
-    leaf_format = LeafPageFormat::kV2Soa;
-  }
-
-  if (!IsLeaf() && internal_format == InternalPageFormat::kV3Compressed) {
-    // Same degradation story as leaves: an incompressible internal node
-    // (adversarial child MBBs) falls through to the raw v1 layout below.
-    if (EncodeInternalV3(*this, page)) return;
-  }
-
-  if (IsLeaf() && leaf_format == LeafPageFormat::kV2Soa) {
+  if (IsLeaf()) {
     page->WriteAt<uint8_t>(kV2OffLevel, 0);
-    page->WriteAt<uint8_t>(kV2OffVersion,
-                           static_cast<uint8_t>(LeafPageFormat::kV2Soa));
+    page->WriteAt<uint8_t>(kV2OffVersion, kLeafPageVersion);
     const uint8_t flags = leaves.time_sorted() ? kV2FlagTimeSorted : 0u;
     page->WriteAt<uint8_t>(kV2OffFlags, flags);
     page->WriteAt<uint8_t>(kV2OffCount, static_cast<uint8_t>(count));
@@ -186,35 +145,59 @@ void IndexNode::EncodeTo(Page* page, LeafPageFormat leaf_format,
     return;
   }
 
-  // v1 layout (internal nodes by default or as the incompressible fallback;
-  // leaves when explicitly requested).
-  page->WriteAt<int32_t>(0, level);
-  page->WriteAt<int32_t>(4, count);
-  page->WriteAt<PageId>(8, parent);
-  page->WriteAt<PageId>(12, prev_leaf);
-  page->WriteAt<PageId>(16, next_leaf);
-  page->WriteAt<int32_t>(20, 0);
-  uint8_t* dst = page->bytes.data() + kHeaderSize;
-  if (IsLeaf()) {
-    for (int i = 0; i < count; ++i) {
-      const LeafEntry e = leaves[static_cast<size_t>(i)];
-      std::memcpy(dst + static_cast<size_t>(i) * kEntrySize, &e, sizeof(e));
-    }
-  } else {
-    if (count > 0) {
-      std::memcpy(dst, internals.data(),
-                  static_cast<size_t>(count) * kEntrySize);
-    }
+  page->WriteAt<int32_t>(kV1OffLevel, level);
+  page->WriteAt<int32_t>(kV1OffCount, count);
+  page->WriteAt<PageId>(kV1OffParent, parent);
+  page->WriteAt<PageId>(kV1OffPrevLeaf, prev_leaf);
+  page->WriteAt<PageId>(kV1OffNextLeaf, next_leaf);
+  page->WriteAt<int32_t>(kV1OffPad, 0);
+  if (count > 0) {
+    std::memcpy(page->bytes.data() + kHeaderSize, internals.data(),
+                static_cast<size_t>(count) * kEntrySize);
   }
 }
 
-bool IsV2LeafPage(const Page& page) {
-  return page.ReadAt<uint8_t>(kV2OffVersion) ==
-         static_cast<uint8_t>(LeafPageFormat::kV2Soa);
+std::string CheckNodePage(const Page& page, int32_t* level) {
+  const uint8_t version = page.ReadAt<uint8_t>(kV2OffVersion);
+  if (version == kLeafPageVersion) {
+    if (page.ReadAt<uint8_t>(kV2OffLevel) != 0) {
+      return "leaf page with a nonzero level byte";
+    }
+    const int count = page.ReadAt<uint8_t>(kV2OffCount);
+    if (count > kNodeCapacity) {
+      return "leaf entry count " + std::to_string(count) + " exceeds " +
+             std::to_string(kNodeCapacity);
+    }
+    *level = 0;
+    return "";
+  }
+  if (version == 3 || version == 4) {
+    return std::string("v3 compressed ") +
+           (version == 3 ? "leaf" : "internal") +
+           " page, a retired format; rebuild the index from the CSV";
+  }
+  if (version != 0) {
+    return "unknown page format version " + std::to_string(version);
+  }
+  const int32_t node_level = page.ReadAt<int32_t>(kV1OffLevel);
+  if (node_level == 0) {
+    return "v1 row-major leaf page, a retired format; rebuild the index from "
+           "the CSV";
+  }
+  if (node_level < 0) {
+    return "internal page with level " + std::to_string(node_level);
+  }
+  const int32_t count = page.ReadAt<int32_t>(kV1OffCount);
+  if (count < 0 || count > kNodeCapacity) {
+    return "internal entry count " + std::to_string(count) +
+           " outside [0, " + std::to_string(kNodeCapacity) + "]";
+  }
+  *level = node_level;
+  return "";
 }
 
 LeafView ViewOfV2LeafPage(const Page& page, PageId* next_leaf) {
-  MST_DCHECK(IsV2LeafPage(page));
+  MST_DCHECK(IsLeafPage(page));
   LeafView v;
   v.count = page.ReadAt<uint8_t>(kV2OffCount);
   v.time_sorted =
@@ -239,12 +222,10 @@ IndexNode IndexNode::Decode(const Page& page, PageId self) {
   IndexNode node;
   node.self = self;
 
-  const uint8_t version = page.ReadAt<uint8_t>(kV2OffVersion);
-  if (version == static_cast<uint8_t>(LeafPageFormat::kV2Soa)) {
-    node.level = 0;
+  if (IsLeafPage(page)) {
     const uint8_t flags = page.ReadAt<uint8_t>(kV2OffFlags);
     const int count = page.ReadAt<uint8_t>(kV2OffCount);
-    MST_CHECK_MSG(count <= kCapacity, "corrupt v2 leaf count");
+    MST_CHECK_MSG(count <= kCapacity, "corrupt leaf count");
     node.parent = page.ReadAt<PageId>(kV2OffParent);
     node.prev_leaf = page.ReadAt<PageId>(kV2OffPrevLeaf);
     node.next_leaf = page.ReadAt<PageId>(kV2OffNextLeaf);
@@ -253,50 +234,19 @@ IndexNode IndexNode::Decode(const Page& page, PageId self) {
                               (flags & kV2FlagTimeSorted) != 0, bounds);
     return node;
   }
-  if (version == static_cast<uint8_t>(LeafPageFormat::kV3Compressed)) {
-    node.level = 0;
-    const uint8_t flags = page.ReadAt<uint8_t>(kV2OffFlags);
-    const int count = page.ReadAt<uint8_t>(kV2OffCount);
-    MST_CHECK_MSG(count <= kCapacity, "corrupt v3 leaf count");
-    node.parent = page.ReadAt<PageId>(kV2OffParent);
-    node.prev_leaf = page.ReadAt<PageId>(kV2OffPrevLeaf);
-    node.next_leaf = page.ReadAt<PageId>(kV2OffNextLeaf);
-    const Mbb3 bounds = page.ReadAt<Mbb3>(kV2OffBounds);
-    LeafBlock* block = node.leaves.PrepareForDecode(
-        count, (flags & kV2FlagTimeSorted) != 0, bounds);
-    DecodeV3Columns(page, count, block);
-    return node;
-  }
-  if (version == kV3InternalVersion) {
-    node.level = page.ReadAt<uint8_t>(kV2OffLevel);
-    MST_CHECK_MSG(node.level >= 1, "corrupt v3 internal level");
-    const int count = page.ReadAt<uint8_t>(kV2OffCount);
-    MST_CHECK_MSG(count <= kCapacity, "corrupt v3 internal count");
-    node.parent = page.ReadAt<PageId>(kV2OffParent);
-    node.prev_leaf = page.ReadAt<PageId>(kV2OffPrevLeaf);
-    node.next_leaf = page.ReadAt<PageId>(kV2OffNextLeaf);
-    node.internals.resize(static_cast<size_t>(count));
-    DecodeInternalV3(page, count, node.internals.data());
-    return node;
-  }
-  MST_CHECK_MSG(version == 0, "unknown node format version");
-
-  // v1 layout.
-  node.level = page.ReadAt<int32_t>(0);
-  const int32_t count = page.ReadAt<int32_t>(4);
+  MST_CHECK_MSG(page.ReadAt<uint8_t>(kV2OffVersion) == 0,
+                "unknown node page format");
+  node.level = page.ReadAt<int32_t>(kV1OffLevel);
+  MST_CHECK_MSG(node.level >= 1, "not an internal node page");
+  const int32_t count = page.ReadAt<int32_t>(kV1OffCount);
   MST_CHECK_MSG(count >= 0 && count <= kCapacity, "corrupt node count");
-  node.parent = page.ReadAt<PageId>(8);
-  node.prev_leaf = page.ReadAt<PageId>(12);
-  node.next_leaf = page.ReadAt<PageId>(16);
-  const uint8_t* src = page.bytes.data() + kHeaderSize;
-  if (node.IsLeaf()) {
-    node.leaves.AssignFromAos(src, count);
-  } else {
-    node.internals.resize(static_cast<size_t>(count));
-    if (count > 0) {
-      std::memcpy(node.internals.data(), src,
-                  static_cast<size_t>(count) * kEntrySize);
-    }
+  node.parent = page.ReadAt<PageId>(kV1OffParent);
+  node.prev_leaf = page.ReadAt<PageId>(kV1OffPrevLeaf);
+  node.next_leaf = page.ReadAt<PageId>(kV1OffNextLeaf);
+  node.internals.resize(static_cast<size_t>(count));
+  if (count > 0) {
+    std::memcpy(node.internals.data(), page.bytes.data() + kHeaderSize,
+                static_cast<size_t>(count) * kEntrySize);
   }
   return node;
 }

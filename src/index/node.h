@@ -1,42 +1,31 @@
 // On-page node format shared by the 3D R-tree and the TB-tree.
 //
-// A node occupies exactly one 4 KB page. Three leaf-page layouts exist:
+// A node occupies exactly one 4 KB page, in one of two layouts — one per
+// node kind:
 //
-//   v1 (AoS, legacy):  24-byte header (level, entry count, parent page, and —
-//                      for TB-tree leaves — prev/next leaf of the same
-//                      trajectory) followed by 56-byte row-major entries:
-//                      either internal entries (child MBB + child page) or
-//                      leaf entries (one trajectory line segment).
-//   v2 (SoA, current): 64-byte header (version byte, time-sorted flag, count,
-//                      parent/prev/next pages, exact per-leaf MBB) followed
-//                      by column-major entry arrays at fixed offsets:
-//                      t0[72] x0[72] y0[72] t1[72] x1[72] y1[72] id[72].
-//                      The columns fill the page exactly (64 + 72·56 = 4096),
-//                      so a decode is a single 4032-byte memcpy and DISSIM
-//                      kernels stream over contiguous columns with no
-//                      AoS→SoA repack.
-//   v3 (compressed):   the v2 header (version byte 3) followed by per-column
-//                      compressed payloads — delta-of-delta timestamps,
-//                      frame-of-reference coordinates, linked/constant
-//                      columns — all lossless; see src/index/leaf_codec_v3.h.
-//                      Incompressible leaves degrade to plain v2 pages at
-//                      encode time.
+//   Leaf (v2, columnar):  64-byte header (level byte 0, version byte 2,
+//                         time-sorted flag, count, parent/prev/next pages,
+//                         exact per-leaf MBB) followed by column-major entry
+//                         arrays at fixed offsets:
+//                         t0[72] x0[72] y0[72] t1[72] x1[72] y1[72] id[72].
+//                         The columns fill the page exactly
+//                         (64 + 72·56 = 4096), so a decode is a single
+//                         4032-byte memcpy, a pinned page is readable in
+//                         place, and DISSIM kernels stream over contiguous
+//                         columns with no repack.
+//   Internal (v1, raw):   24-byte header (int32 level ≥ 1, int32 count,
+//                         parent page, two unused link slots, padding)
+//                         followed by 56-byte row-major entries (child MBB +
+//                         child page) — the shape the MINDIST loop reads.
 //
-// Internal nodes use the v1 layout by default, or a v3 compressed layout
-// (version byte 4; see src/index/node_codec_v3.h) when configured. Fanout is
-// (4096 − 24) / 56 = 72 entries at every level in every format — index sizes
-// and node-access counts are layout-independent, which keeps the paper's
-// Table 2 / Fig 8–10 metrics byte-identical across formats. (v3 deliberately
-// keeps the logical fanout at 72 too: the compression win is taken as
-// smaller resident frames in a byte-budgeted buffer pool, not as a larger
-// fanout, so tree shapes and access counts stay comparable across formats.)
+// Fanout is (4096 − 24) / 56 = 72 entries at every level, which the paper's
+// Table 2 / Fig 8–10 page and node-access counts depend on.
 //
-// Format discrimination: byte 1 of the page. v1 pages store the node level
-// there as the second byte of a little-endian int32 — always 0 for the tiny
-// tree heights involved — while v2/v3 leaf pages store the version value 2
-// or 3 and v3 internal pages store 4. (The codec, like the v1 entry memcpy
-// before it, assumes a little-endian host.) Old index files therefore load
-// unchanged through the v1 shim.
+// Format discrimination: byte 1 of the page. An internal page stores its
+// level there as the second byte of a little-endian int32 — always 0 for the
+// tiny tree heights involved — while a leaf page stores the version value 2.
+// Any other page is not an index page: CheckNodePage names the fault and
+// LoadIndex rejects the file. (The codec assumes a little-endian host.)
 
 #ifndef MST_INDEX_NODE_H_
 #define MST_INDEX_NODE_H_
@@ -45,6 +34,7 @@
 #include <cstddef>
 #include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/geom/interval.h"
@@ -99,25 +89,11 @@ struct InternalEntry {
 static_assert(sizeof(InternalEntry) == 56, "page layout depends on this size");
 static_assert(std::is_trivially_copyable_v<InternalEntry>);
 
-/// Which on-page layout EncodeTo emits for leaf nodes. Values equal the
-/// page's version byte. Internal nodes always use the v1 layout.
-enum class LeafPageFormat : uint8_t {
-  kV1Aos = 0,        ///< legacy row-major entries (still decoded via a shim)
-  kV2Soa = 2,        ///< column-major entries (the default)
-  kV3Compressed = 3, ///< compressed columns (src/index/leaf_codec_v3.h);
-                     ///< incompressible leaves degrade to v2 pages
-};
+/// Format-version byte (page byte 1) of a leaf page.
+inline constexpr uint8_t kLeafPageVersion = 2;
 
-/// Which on-page layout EncodeTo emits for internal nodes. Values equal the
-/// page's version byte.
-enum class InternalPageFormat : uint8_t {
-  kV1Aos = 0,        ///< raw row-major entries (the default)
-  kV3Compressed = 4, ///< compressed MBB/child columns
-                     ///< (src/index/node_codec_v3.h); incompressible nodes
-                     ///< degrade to v1 pages
-};
-
-/// v1 header size / entry size and the per-node fanout both formats share.
+/// Internal-page header size / entry size and the per-node fanout both
+/// layouts share.
 inline constexpr size_t kNodeHeaderV1Size = 24;
 inline constexpr size_t kNodeEntrySize = 56;
 inline constexpr int kNodeCapacity =
@@ -301,20 +277,10 @@ class LeafColumns {
   const_iterator begin() const { return {this, 0}; }
   const_iterator end() const { return {this, size()}; }
 
-  /// Fills the columns from `count` row-major v1 page entries (the decode
-  /// compatibility shim); recomputes the MBB and the sorted flag.
-  void AssignFromAos(const uint8_t* src, int count);
-
   /// Adopts a v2 page's column region verbatim (single memcpy) together
   /// with the header's precomputed metadata.
   void AssignFromSoa(const uint8_t* src, int count, bool time_sorted,
                      const Mbb3& bounds);
-
-  /// Hands the v3 decoder a (possibly recycled, still dirty) column block
-  /// to fill, adopting the header's precomputed metadata. The caller must
-  /// write every column in full — `count` values plus zeroed tail — which
-  /// DecodeV3Columns does.
-  LeafBlock* PrepareForDecode(int count, bool time_sorted, const Mbb3& bounds);
 
  private:
   // Obtains a zeroed block (recycled or fresh) on first use.
@@ -355,16 +321,12 @@ struct IndexNode {
   /// Union MBB over the node's entries (empty box for an empty node).
   Mbb3 Bounds() const;
 
-  /// Serializes into `page` (asserts Count() <= kCapacity). Leaf nodes are
-  /// written in `leaf_format`, internal nodes in `internal_format`;
-  /// incompressible nodes degrade to the corresponding raw layout.
-  void EncodeTo(Page* page,
-                LeafPageFormat leaf_format = LeafPageFormat::kV2Soa,
-                InternalPageFormat internal_format =
-                    InternalPageFormat::kV1Aos) const;
+  /// Serializes into `page` (asserts Count() <= kCapacity): leaves as v2
+  /// columnar pages, internal nodes as v1 raw pages.
+  void EncodeTo(Page* page) const;
 
-  /// Parses a node from `page`, dispatching on the page's format version;
-  /// `self` is recorded for convenience.
+  /// Parses a node from a page that passed CheckNodePage (aborts on any
+  /// other page); `self` is recorded for convenience.
   static IndexNode Decode(const Page& page, PageId self);
 };
 
@@ -375,8 +337,12 @@ struct IndexNode {
 /// reference, independent of buffer eviction or cache invalidation.
 using NodeRef = std::shared_ptr<const IndexNode>;
 
-/// True when `page` holds a v2 columnar leaf (format-version byte check).
-bool IsV2LeafPage(const Page& page);
+/// Checks that `page` holds one of the two node layouts with a sound
+/// header: a v2 leaf, or a v1 internal node of level ≥ 1, with at most
+/// kNodeCapacity entries. Returns "" when sound, else the fault; on success
+/// `*level` receives the node level. Child ids are the caller's to check
+/// (they need the page count).
+std::string CheckNodePage(const Page& page, int32_t* level);
 
 /// Builds a LeafView that aliases a v2 leaf page's column region in place —
 /// the zero-copy read path. The page layout IS the in-memory layout, so no

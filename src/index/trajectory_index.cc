@@ -20,13 +20,7 @@ int64_t TrajectoryIndex::ThreadNodeAccesses() { return tls_node_accesses; }
 TrajectoryIndex::TrajectoryIndex(const Options& options)
     : file_(),
       buffer_(&file_, options.build_buffer_pages),
-      node_cache_(options.node_cache_nodes),
-      leaf_format_(options.leaf_format),
-      internal_format_(options.internal_format) {
-  if (options.buffer_budget_bytes) buffer_.SetByteBudgetMode(true);
-  if (options.node_cache_budget_bytes) node_cache_.SetByteBudgetMode(true);
-  if (options.node_cache_compressed) node_cache_.SetCompressedMode(true);
-}
+      node_cache_(options.node_cache_nodes) {}
 
 TrajectoryIndex::~TrajectoryIndex() = default;
 
@@ -68,7 +62,7 @@ NodeRef TrajectoryIndex::ReadNode(PageId id) const {
   if (NodeRef cached = node_cache_.Lookup(id, &version)) return cached;
   const PageGuard guard = buffer_.Pin(id);
   NodeRef node = std::make_shared<const IndexNode>(IndexNode::Decode(*guard, id));
-  node_cache_.Insert(id, node, version, &*guard);
+  node_cache_.Insert(id, node, version);
   return node;
 }
 
@@ -86,20 +80,8 @@ TrajectoryIndex::LeafPageRead TrajectoryIndex::ReadLeafColumns(
   // Same accounting as ReadNode: one logical access, one Pin.
   node_accesses_.fetch_add(1, std::memory_order_relaxed);
   ++tls_node_accesses;
-  PageGuard guard = buffer_.Pin(id);
-  if (IsV2LeafPage(*guard)) {
-    out.view = ViewOfV2LeafPage(*guard, &out.next_leaf);
-    out.guard = std::move(guard);
-    return out;
-  }
-  // v1 leaf (row-major entries must be transformed into columns anyway) or
-  // v3 compressed leaf (columns must be expanded into scratch): a full
-  // decode — which for v3 unpacks straight into the node's LeafBlock, no
-  // AoS detour — costs nothing extra. (Insert is a no-op here — the cache
-  // is disabled — matching ReadNode.)
-  out.node = std::make_shared<const IndexNode>(IndexNode::Decode(*guard, id));
-  out.view = out.node->leaves.View();
-  out.next_leaf = out.node->next_leaf;
+  out.guard = buffer_.Pin(id);
+  out.view = ViewOfV2LeafPage(*out.guard, &out.next_leaf);
   return out;
 }
 
@@ -112,7 +94,7 @@ void TrajectoryIndex::WriteNode(const IndexNode& node) {
   MST_DCHECK(node.self != kInvalidPageId);
   {
     PageGuard guard = buffer_.PinMutable(node.self);
-    node.EncodeTo(guard.mutable_page(), leaf_format_, internal_format_);
+    node.EncodeTo(guard.mutable_page());
   }
   // Bump the page version after the bytes change: a concurrent decode of
   // the old bytes observed the old version and will fail to publish.

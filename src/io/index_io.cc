@@ -5,37 +5,13 @@
 #include <cstring>
 #include <vector>
 
-#include "src/index/leaf_codec_v3.h"
 #include "src/index/node.h"
-#include "src/index/node_codec_v3.h"
 #include "src/util/check.h"
 
 namespace mst {
 namespace {
 
 constexpr char kMagic[8] = {'M', 'S', 'T', 'I', 'D', 'X', '0', '1'};
-
-const char* FormatName(LeafPageFormat format) {
-  switch (format) {
-    case LeafPageFormat::kV1Aos:
-      return "v1 (AoS)";
-    case LeafPageFormat::kV2Soa:
-      return "v2 (SoA)";
-    case LeafPageFormat::kV3Compressed:
-      return "v3 (compressed)";
-  }
-  return "unknown";
-}
-
-const char* FormatName(InternalPageFormat format) {
-  switch (format) {
-    case InternalPageFormat::kV1Aos:
-      return "v1 (AoS)";
-    case InternalPageFormat::kV3Compressed:
-      return "v3 (compressed)";
-  }
-  return "unknown";
-}
 
 struct FileCloser {
   void operator()(FILE* f) const {
@@ -86,6 +62,46 @@ class LoadedIndex : public TrajectoryIndex {
 
 void SetError(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
+}
+
+// Validates every page before any of them is trusted: headers first (format,
+// level, entry count), then each internal entry's child id and level, so a
+// query can neither decode a bad page nor follow a child out of the file or
+// into a cycle. Returns "" when sound, else "page N: <fault>".
+std::string ValidatePages(const std::vector<Page>& pages,
+                          const Header& header) {
+  std::vector<int32_t> levels(pages.size());
+  for (size_t i = 0; i < pages.size(); ++i) {
+    const std::string fault = CheckNodePage(pages[i], &levels[i]);
+    if (!fault.empty()) return "page " + std::to_string(i) + ": " + fault;
+  }
+  const auto page_count = static_cast<int64_t>(pages.size());
+  for (size_t i = 0; i < pages.size(); ++i) {
+    if (levels[i] == 0) continue;
+    const IndexNode node =
+        IndexNode::Decode(pages[i], static_cast<PageId>(i));
+    for (const InternalEntry& e : node.internals) {
+      if (e.child < 0 || e.child >= page_count) {
+        return "page " + std::to_string(i) + ": child page id " +
+               std::to_string(e.child) + " outside [0, " +
+               std::to_string(page_count) + ")";
+      }
+      const int32_t child_level = levels[static_cast<size_t>(e.child)];
+      if (child_level != levels[i] - 1) {
+        return "page " + std::to_string(i) + " (level " +
+               std::to_string(levels[i]) + "): child page " +
+               std::to_string(e.child) + " has level " +
+               std::to_string(child_level);
+      }
+    }
+  }
+  if (page_count > 0 &&
+      levels[static_cast<size_t>(header.root)] != header.height - 1) {
+    return "root page " + std::to_string(header.root) + " has level " +
+           std::to_string(levels[static_cast<size_t>(header.root)]) +
+           " but the header says height " + std::to_string(header.height);
+  }
+  return "";
 }
 
 }  // namespace
@@ -177,79 +193,9 @@ std::unique_ptr<TrajectoryIndex> LoadIndex(const std::string& path,
     SetError(error, path + ": trailing bytes after page payload");
     return nullptr;
   }
-  // Compressed pages carry enough structure to be mis-parsed into
-  // out-of-bounds column reads, so they are the page flavors validated up
-  // front instead of trusted (v1/v2 pages are fixed-layout; their decode
-  // checks suffice).
-  for (size_t i = 0; i < pages.size(); ++i) {
-    if (IsV3LeafPage(pages[i])) {
-      const std::string problem = ValidateV3LeafPage(pages[i]);
-      if (!problem.empty()) {
-        SetError(error, path + ": corrupt v3 leaf page " + std::to_string(i) +
-                            ": " + problem);
-        return nullptr;
-      }
-    } else if (IsV3InternalPage(pages[i])) {
-      const std::string problem = ValidateV3InternalPage(pages[i]);
-      if (!problem.empty()) {
-        SetError(error, path + ": corrupt v3 internal page " +
-                            std::to_string(i) + ": " + problem);
-        return nullptr;
-      }
-    }
-  }
-  if (options.read_write) {
-    // Read-write can never be honored (insertion state is not persisted);
-    // diagnose the most actionable mismatch first. A write format differing
-    // from what the file's leaves actually store would corrupt the
-    // page-format invariants long before the missing chains mattered, so
-    // that case gets its own message. A v3 file legitimately contains v2
-    // fallback pages for incompressible leaves, so any v3 leaf marks the
-    // whole file v3.
-    bool file_has_v2_leaf = false;
-    bool file_has_v3_leaf = false;
-    bool file_has_v3_internal = false;
-    for (const Page& page : pages) {
-      if (IsV3LeafPage(page)) file_has_v3_leaf = true;
-      else if (IsV2LeafPage(page)) file_has_v2_leaf = true;
-      else if (IsV3InternalPage(page)) file_has_v3_internal = true;
-    }
-    const LeafPageFormat file_format =
-        file_has_v3_leaf ? LeafPageFormat::kV3Compressed
-        : file_has_v2_leaf ? LeafPageFormat::kV2Soa
-                           : LeafPageFormat::kV1Aos;
-    if (header.page_count > 0 && options.index.leaf_format != file_format) {
-      SetError(error, path + ": cannot open read-write: requested " +
-                          FormatName(options.index.leaf_format) +
-                          " leaf writes, but the file stores " +
-                          FormatName(file_format) +
-                          " leaf pages; open read-only or rebuild the index "
-                          "in the requested format");
-      return nullptr;
-    }
-    // Same story for internal pages (v3 internal files legitimately contain
-    // v1 fallback pages for incompressible nodes, so any v3 internal page
-    // marks the file v3-internal).
-    const InternalPageFormat file_internal_format =
-        file_has_v3_internal ? InternalPageFormat::kV3Compressed
-                             : InternalPageFormat::kV1Aos;
-    if (header.page_count > 0 &&
-        options.index.internal_format != file_internal_format) {
-      SetError(error,
-               path + ": cannot open read-write: requested " +
-                   FormatName(options.index.internal_format) +
-                   " internal-node writes, but the file stores " +
-                   FormatName(file_internal_format) +
-                   " internal pages; open read-only or rebuild the index "
-                   "in the requested format");
-      return nullptr;
-    }
-    SetError(error,
-             path +
-                 ": cannot open read-write: a saved index holds no "
-                 "insertion state (trajectory chains, rightmost paths); "
-                 "open read-only, or rebuild from the trajectory store to "
-                 "mutate");
+  const std::string fault = ValidatePages(pages, header);
+  if (!fault.empty()) {
+    SetError(error, path + ": " + fault);
     return nullptr;
   }
   header.name[sizeof(header.name) - 1] = '\0';

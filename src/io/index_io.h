@@ -18,26 +18,20 @@ namespace mst {
 /// Writes `index` (pages + metadata) to `path`. Returns false on I/O error.
 bool SaveIndex(const TrajectoryIndex& index, const std::string& path);
 
-/// How to open a saved index. Invalid combinations are explicit load
-/// errors, never silent fallbacks: requesting read-write fails (a saved
-/// index holds no insertion state) — with a format-specific message when
-/// the requested leaf format additionally mismatches what the file stores —
-/// and a zero-page buffer fails before any I/O.
+/// How to open a saved index. A zero-page buffer is an explicit load error
+/// that fails before any I/O.
 struct IndexOpenOptions {
-  /// Buffer/cache/leaf-format configuration of the loaded index. The leaf
-  /// format only matters for writes, which a loaded index rejects; it is
-  /// still validated under `read_write` so the error surfaces at open time
-  /// rather than on the first insert.
+  /// Buffer/cache configuration of the loaded index.
   TrajectoryIndex::Options index;
-  /// Request a mutable index. Always an error today (see above) — the flag
-  /// exists so callers state intent and get a diagnosis instead of an
-  /// abort later.
-  bool read_write = false;
 };
 
 /// Loads an index previously written by SaveIndex. The returned index
-/// answers all read-side queries; calling Insert on it aborts. Returns
-/// nullptr and fills `*error` on failure.
+/// answers all read-side queries; calling Insert on it aborts. Every page is
+/// validated before the index is built: it must be a v2 leaf or a v1
+/// internal node (CheckNodePage) whose children are in range and exactly one
+/// level below it, with the root at level height − 1. Returns nullptr and
+/// fills `*error` on failure, naming the page and the fault; files holding
+/// pages of a retired format must be rebuilt from the CSV.
 std::unique_ptr<TrajectoryIndex> LoadIndex(const std::string& path,
                                            std::string* error);
 

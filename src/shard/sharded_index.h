@@ -44,7 +44,7 @@ class ShardedIndex {
     /// Number of shards (>= 1, checked).
     int num_shards = 4;
     /// Per-shard index construction knobs (buffer pages, node cache,
-    /// leaf format). Every shard gets the same configuration.
+    /// R-tree variant). Every shard gets the same configuration.
     TrajectoryIndex::Options index_options;
     /// Per-shard cross-query result-cache capacity; 0 disables the caches.
     size_t result_cache_entries = 1 << 12;

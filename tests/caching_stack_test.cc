@@ -18,7 +18,6 @@
 #include "src/exec/query_executor.h"
 #include "src/gen/gstd.h"
 #include "src/index/tbtree.h"
-#include "src/io/index_io.h"
 #include "src/util/random.h"
 
 namespace mst {
@@ -175,75 +174,6 @@ TEST(CachingStackCrossCheckTest, TimeRelaxedNodeAccessesAreCacheInvariant) {
     EXPECT_EQ(with_cache.nodes_accessed, without_cache.nodes_accessed);
     EXPECT_EQ(with_cache.candidates_refined, without_cache.candidates_refined);
   }
-}
-
-// The fully compressed stack — v3 leaves, v3 internal pages, byte-budgeted
-// page buffer, byte-budgeted *compressed* node cache — must stay
-// byte-identical to the plain default stack, on a freshly built tree and on
-// a mixed-format file reloaded from disk (v3 pages alongside the raw v1/v2
-// fallbacks a real file contains).
-TEST(CachingStackCrossCheckTest, CompressedStackIsByteIdenticalOnMixedFiles) {
-  GstdOptions opt;
-  opt.num_objects = 40;
-  opt.samples_per_object = 100;
-  opt.seed = 4453;
-  const TrajectoryStore store = GenerateGstd(opt);
-
-  TBTree plain;  // v2 leaves, v1 internals, unit-charged caches
-  plain.BuildFrom(store);
-
-  TrajectoryIndex::Options compressed_opt;
-  compressed_opt.leaf_format = LeafPageFormat::kV3Compressed;
-  compressed_opt.internal_format = InternalPageFormat::kV3Compressed;
-  compressed_opt.buffer_budget_bytes = true;
-  compressed_opt.node_cache_budget_bytes = true;
-  compressed_opt.node_cache_compressed = true;
-  // Small cache so the byte budget actually evicts during the run.
-  compressed_opt.node_cache_nodes = 64;
-  TBTree compressed(compressed_opt);
-  compressed.BuildFrom(store);
-  ASSERT_TRUE(compressed.node_cache().byte_budget());
-  ASSERT_TRUE(compressed.node_cache().compressed());
-
-  const std::string path =
-      ::testing::TempDir() + "/compressed_stack_mixed.mst";
-  ASSERT_TRUE(SaveIndex(compressed, path));
-  IndexOpenOptions open_opt;
-  open_opt.index = compressed_opt;
-  std::string error;
-  const auto loaded = LoadIndex(path, open_opt, &error);
-  ASSERT_NE(loaded, nullptr) << error;
-
-  const BFMstSearch s_plain(&plain, &store);
-  const BFMstSearch s_comp(&compressed, &store);
-  const BFMstSearch s_loaded(loaded.get(), &store);
-  Rng rng(79);
-  for (int i = 0; i < 12; ++i) {
-    const Trajectory& q =
-        store.trajectories()[rng.UniformIndex(store.trajectories().size())];
-    MstOptions q_opt;
-    q_opt.k = 4;
-    q_opt.exclude_id = q.id();
-    MstStats st_plain;
-    MstStats st_comp;
-    MstStats st_loaded;
-    const auto a = s_plain.Search(q, q.Lifespan(), q_opt, &st_plain);
-    const auto b = s_comp.Search(q, q.Lifespan(), q_opt, &st_comp);
-    const auto c = s_loaded.Search(q, q.Lifespan(), q_opt, &st_loaded);
-    ASSERT_EQ(b.size(), a.size());
-    ASSERT_EQ(c.size(), a.size());
-    for (size_t j = 0; j < a.size(); ++j) {
-      EXPECT_EQ(b[j].id, a[j].id);
-      EXPECT_EQ(b[j].dissim, a[j].dissim);
-      EXPECT_EQ(c[j].id, a[j].id);
-      EXPECT_EQ(c[j].dissim, a[j].dissim);
-    }
-    EXPECT_EQ(st_comp.nodes_accessed, st_plain.nodes_accessed);
-    EXPECT_EQ(st_loaded.nodes_accessed, st_plain.nodes_accessed);
-  }
-  // The compressed tier actually engaged (decode-on-hit traffic happened).
-  EXPECT_GT(compressed.node_cache().compressed_hits(), 0);
-  EXPECT_GT(compressed.node_cache().resident_compressed(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -17,9 +17,7 @@
 
 #include "src/core/mst_search.h"
 #include "src/exec/query_executor.h"
-#include "src/index/leaf_codec_v3.h"
 #include "src/index/node.h"
-#include "src/index/node_codec_v3.h"
 #include "src/index/rtree3d.h"
 #include "src/ingest/delta_index.h"
 #include "src/ingest/ingest_engine.h"
@@ -182,39 +180,6 @@ TEST(IngestEngineTest, SearchMatchesBulkLoadOracleAcrossPolicies) {
   for (int b = 0; b < 25; ++b) ASSERT_TRUE(engine.Append(feed.NextBatch()));
   EXPECT_GT(engine.delta_entries(), 0u);
   ExpectMatchesOracle(engine, TrajectoryIndex::Options());
-}
-
-// Regression: the merge path (and the delta trees it drains) must emit the
-// page formats configured in Options::index — both the leaf format and the
-// internal-node format — not a hardcoded default.
-TEST(IngestEngineTest, MergeEmitsConfiguredLeafAndInternalFormats) {
-  MemWalStorageSet storage;
-  IngestEngine::Options options;
-  options.index.leaf_format = LeafPageFormat::kV3Compressed;
-  options.index.internal_format = InternalPageFormat::kV3Compressed;
-  IngestEngine engine(&storage, options);
-  RecordFeed feed(47, /*num_ids=*/20);
-  // Enough segments for a multi-level main tree after the merge.
-  for (int b = 0; b < 400; ++b) ASSERT_TRUE(engine.Append(feed.NextBatch()));
-  engine.Merge();
-  ASSERT_EQ(engine.delta_entries(), 0u);
-
-  const IndexView view = engine.View();
-  ASSERT_GT(view.main->height(), 1) << "need at least one internal node";
-  view.main->buffer().Flush();
-  int v3_leaves = 0;
-  int v3_internals = 0;
-  for (PageId id = 0; id < view.main->NodeCount(); ++id) {
-    const PageGuard page = view.main->buffer().Pin(id);
-    if (IsV3LeafPage(*page)) ++v3_leaves;
-    else if (IsV3InternalPage(*page)) ++v3_internals;
-  }
-  EXPECT_GT(v3_leaves, 0) << "merge ignored the configured leaf format";
-  EXPECT_GT(v3_internals, 0)
-      << "merge ignored the configured internal format";
-
-  // And the compressed output still answers queries bitwise-identically.
-  ExpectMatchesOracle(engine, options.index);
 }
 
 // The rtree_variant knob flows through Options::index into the engine's

@@ -3,14 +3,15 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/linear_scan.h"
 #include "src/core/mst_search.h"
 #include "src/gen/gstd.h"
-#include "src/index/leaf_codec_v3.h"
-#include "src/index/node_codec_v3.h"
 #include "src/index/rtree3d.h"
+#include "src/index/strtree.h"
 #include "src/index/tbtree.h"
 #include "src/io/csv.h"
 #include "src/io/index_io.h"
@@ -210,63 +211,6 @@ TEST(IndexIoTest, OpenRejectsZeroBufferPagesBeforeAnyIo) {
   EXPECT_NE(error.find("build_buffer_pages"), std::string::npos);
 }
 
-TEST(IndexIoTest, OpenRejectsReadWriteExplicitly) {
-  const TrajectoryStore store = SampleStore();
-  RTree3D tree;  // default options: v2 (SoA) leaves
-  tree.BulkLoad(store);
-  const std::string path = TempPath("rw.mst");
-  ASSERT_TRUE(SaveIndex(tree, path));
-
-  IndexOpenOptions options;
-  options.read_write = true;  // leaf format matches the file — generic error
-  std::string error;
-  EXPECT_EQ(LoadIndex(path, options, &error), nullptr);
-  EXPECT_NE(error.find("cannot open read-write"), std::string::npos);
-  EXPECT_NE(error.find("insertion state"), std::string::npos);
-  // The same file opens fine read-only with the same index options.
-  options.read_write = false;
-  EXPECT_NE(LoadIndex(path, options, &error), nullptr) << error;
-}
-
-TEST(IndexIoTest, OpenDiagnosesLeafFormatMismatchOnReadWrite) {
-  const TrajectoryStore store = SampleStore();
-
-  // A v1 (AoS) file opened for v2 (SoA) writes — and the mirror case. The
-  // mismatch must be named, not silently fallen back from.
-  RTree3D v1_tree{[] {
-    TrajectoryIndex::Options o;
-    o.leaf_format = LeafPageFormat::kV1Aos;
-    return o;
-  }()};
-  v1_tree.BulkLoad(store);
-  const std::string v1_path = TempPath("v1_leaves.mst");
-  ASSERT_TRUE(SaveIndex(v1_tree, v1_path));
-
-  IndexOpenOptions want_v2;
-  want_v2.read_write = true;
-  want_v2.index.leaf_format = LeafPageFormat::kV2Soa;
-  std::string error;
-  EXPECT_EQ(LoadIndex(v1_path, want_v2, &error), nullptr);
-  EXPECT_NE(error.find("stores v1 (AoS)"), std::string::npos) << error;
-
-  RTree3D v2_tree;  // default: v2 leaves
-  v2_tree.BulkLoad(store);
-  const std::string v2_path = TempPath("v2_leaves.mst");
-  ASSERT_TRUE(SaveIndex(v2_tree, v2_path));
-
-  IndexOpenOptions want_v1;
-  want_v1.read_write = true;
-  want_v1.index.leaf_format = LeafPageFormat::kV1Aos;
-  EXPECT_EQ(LoadIndex(v2_path, want_v1, &error), nullptr);
-  EXPECT_NE(error.find("stores v2 (SoA)"), std::string::npos) << error;
-
-  // Read-only never cares: either file loads under either leaf format.
-  want_v2.read_write = false;
-  want_v1.read_write = false;
-  EXPECT_NE(LoadIndex(v1_path, want_v2, &error), nullptr) << error;
-  EXPECT_NE(LoadIndex(v2_path, want_v1, &error), nullptr) << error;
-}
-
 TEST(IndexIoTest, RejectsTrailingBytesAfterPagePayload) {
   const TrajectoryStore store = SampleStore();
   TBTree tree;
@@ -331,163 +275,156 @@ TEST(IndexIoTest, OpenOptionsConfigureTheLoadedIndex) {
   EXPECT_EQ(stats.node_cache_hits + stats.node_cache_misses, 0);
 }
 
-// Byte offset of the first v3 compressed leaf page inside a saved index
-// file, or -1 when none exists. Pages start after the 8-byte magic and the
-// 64-byte header.
-long FindV3PageOffset(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return -1;
-  for (long offset = 8 + 64;; offset += static_cast<long>(kPageSize)) {
-    uint8_t head[2];
-    if (std::fseek(f, offset, SEEK_SET) != 0 ||
-        std::fread(head, 1, 2, f) != 2) {
-      std::fclose(f);
-      return -1;
-    }
-    if (head[0] == 0 && head[1] == 3) {  // leaf level, v3 version byte
-      std::fclose(f);
-      return offset;
-    }
-  }
+// Byte offset of page `id` inside a saved index file: pages follow the
+// 8-byte magic and the 64-byte header.
+long PageOffset(PageId id) {
+  return 8 + 64 + static_cast<long>(id) * static_cast<long>(kPageSize);
 }
 
+// Leftmost leaf of `index`, found by descending first children.
+PageId FirstLeaf(const TrajectoryIndex& index) {
+  PageId id = index.root();
+  for (NodeRef node = index.ReadNode(id); !node->IsLeaf();
+       node = index.ReadNode(id)) {
+    id = node->internals[0].child;
+  }
+  return id;
+}
+
+// A saved TB-tree with at least one internal level, patched per case below.
+class CorruptPageTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    tree_.BuildFrom(SampleStore());
+    ASSERT_GT(tree_.height(), 1) << "need an internal root";
+    path_ = TempPath("corrupt_page.mst");
+    ASSERT_TRUE(SaveIndex(tree_, path_));
+    std::string error;
+    ASSERT_NE(LoadIndex(path_, &error), nullptr) << error;
+  }
+
+  // Loads the patched file; expects a rejection naming `page` and `fault`.
+  void ExpectRejected(PageId page, const std::string& fault) {
+    std::string error;
+    EXPECT_EQ(LoadIndex(path_, &error), nullptr);
+    EXPECT_NE(error.find("page " + std::to_string(page)), std::string::npos)
+        << error;
+    EXPECT_NE(error.find(fault), std::string::npos) << error;
+  }
+
+  TBTree tree_;
+  std::string path_;
+};
+
+TEST_F(CorruptPageTest, RejectsLeafCountAboveCapacity) {
+  const PageId leaf = FirstLeaf(tree_);
+  const uint8_t count = 200;
+  PatchFile(path_, PageOffset(leaf) + 3, &count, 1);
+  ExpectRejected(leaf, "leaf entry count 200");
+}
+
+TEST_F(CorruptPageTest, RejectsChildIdOutOfRange) {
+  const PageId root = tree_.root();
+  // The first routing entry's child id sits after the 24-byte header and
+  // the entry's 48-byte MBB.
+  const PageId child = static_cast<PageId>(tree_.NodeCount()) + 5;
+  PatchFile(path_, PageOffset(root) + 24 + 48, &child, sizeof(child));
+  ExpectRejected(root, "child page id " + std::to_string(child));
+}
+
+TEST_F(CorruptPageTest, RejectsChildOnTheWrongLevel) {
+  // A routing entry pointing back at its own page would make the traversal
+  // loop; the level check refuses it.
+  const PageId root = tree_.root();
+  PatchFile(path_, PageOffset(root) + 24 + 48, &root, sizeof(root));
+  ExpectRejected(root, "has level");
+}
+
+TEST_F(CorruptPageTest, RejectsV1LayoutLeaf) {
+  // A v1 row-major leaf header: int32 level 0, int32 entry count.
+  const PageId leaf = FirstLeaf(tree_);
+  const int32_t header[2] = {0, 5};
+  PatchFile(path_, PageOffset(leaf), header, sizeof(header));
+  ExpectRejected(leaf, "v1 row-major leaf page");
+}
+
+// v3 compressed pages are a retired format: a file holding one is refused
+// with the page named and a pointer to rebuilding, never decoded.
 TEST(IndexIoTest, RejectsCorruptV3LeafPages) {
-  const TrajectoryStore store = SampleStore();
-  TBTree::Options opt;
-  opt.leaf_format = LeafPageFormat::kV3Compressed;
-  TBTree tree(opt);
-  tree.BuildFrom(store);
-  const std::string path = TempPath("corrupt_v3.mst");
-
+  TBTree tree;
+  tree.BuildFrom(SampleStore());
+  const std::string path = TempPath("v3_leaf.mst");
   ASSERT_TRUE(SaveIndex(tree, path));
-  const long page = FindV3PageOffset(path);
-  ASSERT_GT(page, 0) << "expected at least one compressed leaf";
-  // Pristine file loads and queries fine.
+  const PageId leaf = FirstLeaf(tree);
+  const uint8_t version = 3;
+  PatchFile(path, PageOffset(leaf) + 1, &version, 1);
   std::string error;
-  ASSERT_NE(LoadIndex(path, &error), nullptr) << error;
-
-  // An undefined column encoding tag.
-  uint8_t byte = 200;
-  PatchFile(path, page + static_cast<long>(kV3OffTags), &byte, 1);
   EXPECT_EQ(LoadIndex(path, &error), nullptr);
-  EXPECT_NE(error.find("corrupt v3 leaf page"), std::string::npos) << error;
-  EXPECT_NE(error.find("encoding tag"), std::string::npos) << error;
-
-  // An entry count beyond node capacity.
-  ASSERT_TRUE(SaveIndex(tree, path));
-  byte = 255;
-  PatchFile(path, page + 3, &byte, 1);
-  EXPECT_EQ(LoadIndex(path, &error), nullptr);
-  EXPECT_NE(error.find("entry count"), std::string::npos) << error;
-
-  // A truncated / mis-sized column payload (first column's length field
-  // inflated by one byte).
-  ASSERT_TRUE(SaveIndex(tree, path));
-  FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, page + static_cast<long>(kV3OffLengths), SEEK_SET),
-            0);
-  ASSERT_EQ(std::fread(&byte, 1, 1, f), 1u);
-  std::fclose(f);
-  byte += 1;
-  PatchFile(path, page + static_cast<long>(kV3OffLengths), &byte, 1);
-  EXPECT_EQ(LoadIndex(path, &error), nullptr);
-  EXPECT_NE(error.find("column payload"), std::string::npos) << error;
-}
-
-// Byte offset of the first v3 compressed *internal* page (level >= 1,
-// version byte 4), or -1 when none exists.
-long FindV3InternalPageOffset(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return -1;
-  for (long offset = 8 + 64;; offset += static_cast<long>(kPageSize)) {
-    uint8_t head[2];
-    if (std::fseek(f, offset, SEEK_SET) != 0 ||
-        std::fread(head, 1, 2, f) != 2) {
-      std::fclose(f);
-      return -1;
-    }
-    if (head[0] >= 1 && head[1] == kV3InternalVersion) {
-      std::fclose(f);
-      return offset;
-    }
-  }
+  EXPECT_NE(error.find("page " + std::to_string(leaf) +
+                       ": v3 compressed leaf page"),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find("rebuild the index from the CSV"), std::string::npos)
+      << error;
 }
 
 TEST(IndexIoTest, RejectsCorruptV3InternalPages) {
-  const TrajectoryStore store = SampleStore();
-  TBTree::Options opt;
-  opt.internal_format = InternalPageFormat::kV3Compressed;
-  TBTree tree(opt);
-  tree.BuildFrom(store);
-  const std::string path = TempPath("corrupt_v3_internal.mst");
-
+  TBTree tree;
+  tree.BuildFrom(SampleStore());
+  ASSERT_GT(tree.height(), 1);
+  const std::string path = TempPath("v3_internal.mst");
   ASSERT_TRUE(SaveIndex(tree, path));
-  const long page = FindV3InternalPageOffset(path);
-  ASSERT_GT(page, 0) << "expected at least one compressed internal page";
+  const uint8_t version = 4;
+  PatchFile(path, PageOffset(tree.root()) + 1, &version, 1);
   std::string error;
-  ASSERT_NE(LoadIndex(path, &error), nullptr) << error;
-
-  // An undefined column encoding tag.
-  uint8_t byte = 200;
-  PatchFile(path, page + static_cast<long>(kV3OffTags), &byte, 1);
   EXPECT_EQ(LoadIndex(path, &error), nullptr);
-  EXPECT_NE(error.find("corrupt v3 internal page"), std::string::npos)
+  EXPECT_NE(error.find("page " + std::to_string(tree.root()) +
+                       ": v3 compressed internal page"),
+            std::string::npos)
       << error;
-  EXPECT_NE(error.find("encoding tag"), std::string::npos) << error;
-
-  // The leaf-only link encoding smuggled onto an internal column.
-  ASSERT_TRUE(SaveIndex(tree, path));
-  byte = kColLink;
-  PatchFile(path, page + static_cast<long>(kV3OffTags), &byte, 1);
-  EXPECT_EQ(LoadIndex(path, &error), nullptr);
-  EXPECT_NE(error.find("link"), std::string::npos) << error;
-
-  // An entry count beyond node capacity.
-  ASSERT_TRUE(SaveIndex(tree, path));
-  byte = 255;
-  PatchFile(path, page + 3, &byte, 1);
-  EXPECT_EQ(LoadIndex(path, &error), nullptr);
-  EXPECT_NE(error.find("entry count"), std::string::npos) << error;
-
-  // A mis-sized column payload (first column's length field inflated).
-  ASSERT_TRUE(SaveIndex(tree, path));
-  FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, page + static_cast<long>(kV3OffLengths), SEEK_SET),
-            0);
-  ASSERT_EQ(std::fread(&byte, 1, 1, f), 1u);
-  std::fclose(f);
-  byte += 1;
-  PatchFile(path, page + static_cast<long>(kV3OffLengths), &byte, 1);
-  EXPECT_EQ(LoadIndex(path, &error), nullptr);
-  EXPECT_NE(error.find("column payload"), std::string::npos) << error;
 }
 
-TEST(IndexIoTest, OpenDiagnosesInternalFormatMismatchOnReadWrite) {
+// Every backend writes only pages the loader accepts, and the loaded copy
+// answers with the same results and node accesses.
+TEST(IndexIoTest, EveryBackendRoundTripsThroughTheLoader) {
   const TrajectoryStore store = SampleStore();
+  TrajectoryIndex::Options rstar;
+  rstar.rtree_variant = RTreeVariant::kRStar;
+  std::vector<std::unique_ptr<TrajectoryIndex>> indexes;
+  indexes.push_back(std::make_unique<RTree3D>());
+  indexes.push_back(std::make_unique<RTree3D>(rstar));
+  indexes.push_back(std::make_unique<TBTree>());
+  indexes.push_back(std::make_unique<STRTree>());
+  for (auto& index : indexes) index->BuildFrom(store);
+  auto bulk = std::make_unique<RTree3D>();
+  bulk->BulkLoad(store);
+  indexes.push_back(std::move(bulk));
 
-  RTree3D v3_tree{[] {
-    TrajectoryIndex::Options o;
-    o.internal_format = InternalPageFormat::kV3Compressed;
-    return o;
-  }()};
-  v3_tree.BulkLoad(store);
-  const std::string path = TempPath("v3_internals.mst");
-  ASSERT_TRUE(SaveIndex(v3_tree, path));
-
-  // Leaf format matches (v2 both sides); only the internal format differs —
-  // the error must name internal pages, not leaves.
-  IndexOpenOptions want_v1_internal;
-  want_v1_internal.read_write = true;
-  std::string error;
-  EXPECT_EQ(LoadIndex(path, want_v1_internal, &error), nullptr);
-  EXPECT_NE(error.find("internal pages"), std::string::npos) << error;
-  EXPECT_NE(error.find("stores v3 (compressed)"), std::string::npos) << error;
-
-  // Read-only never cares about either format knob.
-  want_v1_internal.read_write = false;
-  EXPECT_NE(LoadIndex(path, want_v1_internal, &error), nullptr) << error;
+  const Trajectory query(999, store.Get(3).Slice({0.2, 0.6})->samples());
+  MstOptions options;
+  options.k = 3;
+  for (const auto& index : indexes) {
+    const std::string path = TempPath("backend.mst");
+    ASSERT_TRUE(SaveIndex(*index, path));
+    std::string error;
+    const auto loaded = LoadIndex(path, &error);
+    ASSERT_NE(loaded, nullptr) << index->name() << ": " << error;
+    loaded->CheckInvariants();
+    MstStats want_stats;
+    MstStats got_stats;
+    const auto want = BFMstSearch(index.get(), &store)
+                          .Search(query, query.Lifespan(), options,
+                                  &want_stats);
+    const auto got = BFMstSearch(loaded.get(), &store)
+                         .Search(query, query.Lifespan(), options, &got_stats);
+    ASSERT_EQ(got.size(), want.size()) << index->name();
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id) << index->name();
+      EXPECT_EQ(got[i].dissim, want[i].dissim) << index->name();
+    }
+    EXPECT_EQ(got_stats.nodes_accessed, want_stats.nodes_accessed)
+        << index->name();
+  }
 }
 
 TEST(IndexIoTest, RejectsTruncatedFile) {

@@ -1,27 +1,17 @@
-// Randomized round-trip tests of the node codec: the v1 (row-major), v2
-// (columnar) and v3 (compressed columnar) leaf-page layouts, internal pages,
-// the version-byte dispatch, the fixed v2 column offsets, and the
-// compatibility guarantee that an index file written in any format answers
-// queries identically under the current code.
+// Randomized round-trip tests of the node codec: v2 (columnar) leaf pages,
+// v1 (raw) internal pages, the version-byte dispatch, the fixed v2 column
+// offsets, the zero-copy page view, and the page check that rejects every
+// other layout.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
-#include "src/core/mst_search.h"
-#include "src/gen/gstd.h"
-#include "src/index/leaf_codec_v3.h"
 #include "src/index/node.h"
-#include "src/index/node_codec_v3.h"
 #include "src/index/pagefile.h"
-#include "src/index/tbtree.h"
-#include "src/io/index_io.h"
 #include "src/util/random.h"
 
 namespace mst {
@@ -80,8 +70,7 @@ void ExpectNodesEqual(const IndexNode& got, const IndexNode& want) {
   for (size_t i = 0; i < want.leaves.size(); ++i) {
     EXPECT_EQ(got.leaves[i], want.leaves[i]) << "entry " << i;
   }
-  // Derived metadata must round-trip too (v2 stores it in the header; the
-  // v1 shim recomputes it).
+  // Derived metadata must round-trip too (the v2 header stores it).
   EXPECT_EQ(got.leaves.time_sorted(), EntriesTimeSorted(want));
   const Mbb3 gb = got.Bounds();
   const Mbb3 wb = want.Bounds();
@@ -93,22 +82,18 @@ void ExpectNodesEqual(const IndexNode& got, const IndexNode& want) {
   EXPECT_EQ(gb.thi, wb.thi);
 }
 
-TEST(NodeCodecRandomTest, LeafRoundTripBothFormats) {
+TEST(NodeCodecRandomTest, LeafRoundTrip) {
   Rng rng(20260805);
-  for (const LeafPageFormat format :
-       {LeafPageFormat::kV1Aos, LeafPageFormat::kV2Soa,
-        LeafPageFormat::kV3Compressed}) {
-    for (int trial = 0; trial < 100; ++trial) {
-      const int count =
-          static_cast<int>(rng.UniformInt(0, IndexNode::kCapacity));
-      const bool sorted = rng.Bernoulli(0.5);
-      const IndexNode node = RandomLeafNode(&rng, count, sorted);
-      Page page;
-      node.EncodeTo(&page, format);
-      const IndexNode decoded = IndexNode::Decode(page, node.self);
-      EXPECT_EQ(decoded.self, node.self);
-      ExpectNodesEqual(decoded, node);
-    }
+  for (int trial = 0; trial < 100; ++trial) {
+    const int count =
+        static_cast<int>(rng.UniformInt(0, IndexNode::kCapacity));
+    const bool sorted = rng.Bernoulli(0.5);
+    const IndexNode node = RandomLeafNode(&rng, count, sorted);
+    Page page;
+    node.EncodeTo(&page);
+    const IndexNode decoded = IndexNode::Decode(page, node.self);
+    EXPECT_EQ(decoded.self, node.self);
+    ExpectNodesEqual(decoded, node);
   }
 }
 
@@ -144,20 +129,18 @@ TEST(NodeCodecRandomTest, InternalRoundTrip) {
 TEST(NodeCodecRandomTest, VersionByteDiscriminates) {
   Rng rng(1);
   const IndexNode node = RandomLeafNode(&rng, 10, /*time_sorted=*/true);
-  Page v1;
-  Page v2;
-  node.EncodeTo(&v1, LeafPageFormat::kV1Aos);
-  node.EncodeTo(&v2, LeafPageFormat::kV2Soa);
-  // Byte 1 is the discriminator: second byte of the little-endian level in
-  // v1 (always 0), the format version in v2.
-  EXPECT_EQ(v1.bytes[1], 0);
-  EXPECT_EQ(v2.bytes[1], static_cast<uint8_t>(LeafPageFormat::kV2Soa));
-  // Internal nodes always take the v1 path regardless of requested format.
+  Page leaf;
+  node.EncodeTo(&leaf);
+  // Byte 1 is the discriminator: the format version in a leaf page, the
+  // second byte of the little-endian level (always 0) in an internal page.
+  EXPECT_EQ(leaf.bytes[0], 0);
+  EXPECT_EQ(leaf.bytes[1], kLeafPageVersion);
   IndexNode internal;
   internal.level = 1;
   internal.internals.push_back({node.Bounds(), 7, 0});
   Page pi;
-  internal.EncodeTo(&pi, LeafPageFormat::kV2Soa);
+  internal.EncodeTo(&pi);
+  EXPECT_EQ(pi.bytes[0], 1);
   EXPECT_EQ(pi.bytes[1], 0);
   EXPECT_EQ(IndexNode::Decode(pi, 0).level, 1);
 }
@@ -168,7 +151,7 @@ TEST(NodeCodecRandomTest, V2ColumnsAtFixedOffsets) {
   Rng rng(9);
   const IndexNode node = RandomLeafNode(&rng, 17, /*time_sorted=*/false);
   Page page;
-  node.EncodeTo(&page, LeafPageFormat::kV2Soa);
+  node.EncodeTo(&page);
   const size_t stride = sizeof(double) * static_cast<size_t>(kNodeCapacity);
   for (size_t i = 0; i < node.leaves.size(); ++i) {
     const LeafEntry e = node.leaves[i];
@@ -196,8 +179,7 @@ TEST(NodeCodecRandomTest, ZeroCopyViewMatchesDecodedView) {
         static_cast<int>(rng.UniformInt(0, IndexNode::kCapacity));
     const IndexNode node = RandomLeafNode(&rng, count, rng.Bernoulli(0.5));
     Page page;
-    node.EncodeTo(&page, LeafPageFormat::kV2Soa);
-    ASSERT_TRUE(IsV2LeafPage(page));
+    node.EncodeTo(&page);
     PageId next = kInvalidPageId;
     const LeafView raw = ViewOfV2LeafPage(page, &next);
     EXPECT_EQ(next, node.next_leaf);
@@ -211,10 +193,6 @@ TEST(NodeCodecRandomTest, ZeroCopyViewMatchesDecodedView) {
       EXPECT_EQ(raw.Entry(i), ref.Entry(i)) << "entry " << i;
     }
   }
-  // v1 pages must be rejected by the version probe.
-  Page v1;
-  RandomLeafNode(&rng, 5, true).EncodeTo(&v1, LeafPageFormat::kV1Aos);
-  EXPECT_FALSE(IsV2LeafPage(v1));
 }
 
 TEST(NodeCodecRandomTest, EncodeDeterministicAndIdempotent) {
@@ -225,13 +203,13 @@ TEST(NodeCodecRandomTest, EncodeDeterministicAndIdempotent) {
     const IndexNode node = RandomLeafNode(&rng, count, rng.Bernoulli(0.5));
     Page a;
     Page b;
-    node.EncodeTo(&a, LeafPageFormat::kV2Soa);
-    node.EncodeTo(&b, LeafPageFormat::kV2Soa);
+    node.EncodeTo(&a);
+    node.EncodeTo(&b);
     EXPECT_EQ(a.bytes, b.bytes) << "same node must encode identically";
     // decode(encode(n)) re-encodes to the same bytes (zero-tail invariant).
     const IndexNode decoded = IndexNode::Decode(a, node.self);
     Page c;
-    decoded.EncodeTo(&c, LeafPageFormat::kV2Soa);
+    decoded.EncodeTo(&c);
     EXPECT_EQ(a.bytes, c.bytes);
   }
 }
@@ -253,710 +231,64 @@ TEST(NodeCodecRandomTest, ClearedAndRefilledLeafEncodesLikeFresh) {
   reused.next_leaf = fresh.next_leaf;
   Page a;
   Page b;
-  reused.EncodeTo(&a, LeafPageFormat::kV2Soa);
-  fresh.EncodeTo(&b, LeafPageFormat::kV2Soa);
+  reused.EncodeTo(&a);
+  fresh.EncodeTo(&b);
   EXPECT_EQ(a.bytes, b.bytes);
 }
 
-// ---------------------------------------------------------------------------
-// v3 compressed leaf pages.
-
-// Exact bit patterns, not just value equality: -0.0 vs 0.0 and denormals
-// must survive the codec, which operator== on doubles cannot see.
-void ExpectBitwiseEqualLeaves(const IndexNode& got, const IndexNode& want) {
-  ASSERT_EQ(got.Count(), want.Count());
-  for (size_t i = 0; i < want.leaves.size(); ++i) {
-    const LeafEntry g = got.leaves[i];
-    const LeafEntry w = want.leaves[i];
-    EXPECT_EQ(std::bit_cast<uint64_t>(g.t0), std::bit_cast<uint64_t>(w.t0));
-    EXPECT_EQ(std::bit_cast<uint64_t>(g.x0), std::bit_cast<uint64_t>(w.x0));
-    EXPECT_EQ(std::bit_cast<uint64_t>(g.y0), std::bit_cast<uint64_t>(w.y0));
-    EXPECT_EQ(std::bit_cast<uint64_t>(g.t1), std::bit_cast<uint64_t>(w.t1));
-    EXPECT_EQ(std::bit_cast<uint64_t>(g.x1), std::bit_cast<uint64_t>(w.x1));
-    EXPECT_EQ(std::bit_cast<uint64_t>(g.y1), std::bit_cast<uint64_t>(w.y1));
-    EXPECT_EQ(g.traj_id, w.traj_id) << "entry " << i;
-  }
-}
-
-// A TB-tree-shaped leaf: consecutive segments of one trajectory, so end
-// columns chain into the next start (kColLink territory) and the id column
-// is constant.
-IndexNode ChainLeafNode(Rng* rng, int count) {
-  IndexNode node;
-  node.self = 5;
-  node.level = 0;
-  node.parent = 2;
-  node.prev_leaf = 4;
-  node.next_leaf = 6;
-  const TrajectoryId id = rng->UniformInt(0, 1 << 20);
-  double t = rng->Uniform(100.0, 1000.0);
-  double x = rng->Uniform(100.0, 150.0);
-  double y = rng->Uniform(100.0, 150.0);
-  for (int i = 0; i < count; ++i) {
-    LeafEntry e;
-    e.traj_id = id;
-    e.t0 = t;
-    e.x0 = x;
-    e.y0 = y;
-    t += rng->Uniform(0.5, 2.0);
-    x += rng->Uniform(-0.5, 0.5);
-    y += rng->Uniform(-0.5, 0.5);
-    e.t1 = t;
-    e.x1 = x;
-    e.y1 = y;
-    node.leaves.push_back(e);
-  }
-  return node;
-}
-
-TEST(NodeCodecV3Test, ChainLeafUsesLinkAndConstAndCompresses) {
-  Rng rng(20260808);
-  for (int trial = 0; trial < 20; ++trial) {
-    const IndexNode node = ChainLeafNode(&rng, IndexNode::kCapacity);
-    Page page;
-    node.EncodeTo(&page, LeafPageFormat::kV3Compressed);
-    ASSERT_TRUE(IsV3LeafPage(page));
-    const auto tags = V3ColumnTags(page);
-    EXPECT_EQ(tags[3], kColLink);   // t1 chains into t0
-    EXPECT_EQ(tags[4], kColLink);   // x1 chains into x0
-    EXPECT_EQ(tags[5], kColLink);   // y1 chains into y0
-    EXPECT_EQ(tags[6], kColConst);  // single trajectory id
-    // The page must beat the 2x compression the format exists for.
-    EXPECT_LT(LeafPageOccupiedBytes(page), kPageSize / 2);
-    const IndexNode decoded = IndexNode::Decode(page, node.self);
-    ExpectNodesEqual(decoded, node);
-    ExpectBitwiseEqualLeaves(decoded, node);
-  }
-}
-
-TEST(NodeCodecV3Test, GridAlignedCoordinatesUseFixedPoint) {
-  Rng rng(88);
-  IndexNode node;
-  node.self = 1;
-  node.level = 0;
-  double t = 0.0;
-  for (int i = 0; i < IndexNode::kCapacity; ++i) {
-    LeafEntry e;
-    e.traj_id = 7;
-    e.t0 = t;
-    e.t1 = (t += 1.0);
-    // Coordinates on a 2^-10 grid spanning [0, 1000): exactly reproducible
-    // as scaled integers, but spread across enough binades that plain FoR
-    // over the double bits cannot beat the fixed-point form.
-    e.x0 = static_cast<double>(rng.UniformInt(0, 1024000)) / 1024.0;
-    e.y0 = static_cast<double>(rng.UniformInt(0, 1024000)) / 1024.0;
-    e.x1 = static_cast<double>(rng.UniformInt(0, 1024000)) / 1024.0;
-    e.y1 = static_cast<double>(rng.UniformInt(0, 1024000)) / 1024.0;
-    node.leaves.push_back(e);
-  }
-  Page page;
-  node.EncodeTo(&page, LeafPageFormat::kV3Compressed);
-  ASSERT_TRUE(IsV3LeafPage(page));
-  const auto tags = V3ColumnTags(page);
-  EXPECT_EQ(tags[1], kColFixed);  // x0
-  EXPECT_EQ(tags[2], kColFixed);  // y0
-  const IndexNode decoded = IndexNode::Decode(page, node.self);
-  ExpectBitwiseEqualLeaves(decoded, node);
-}
-
-TEST(NodeCodecV3Test, ConstantColumnsCollapseToOneWord) {
-  LeafEntry e;
-  e.traj_id = 123456789;
-  e.t0 = 10.25;
-  e.t1 = 11.5;
-  e.x0 = -3.75;
-  e.y0 = 1e-3;
-  e.x1 = -3.5;
-  e.y1 = 2e-3;
-  IndexNode node;
-  node.self = 9;
-  node.level = 0;
-  for (int i = 0; i < IndexNode::kCapacity; ++i) node.leaves.push_back(e);
-  Page page;
-  node.EncodeTo(&page, LeafPageFormat::kV3Compressed);
-  ASSERT_TRUE(IsV3LeafPage(page));
-  for (const uint8_t tag : V3ColumnTags(page)) EXPECT_EQ(tag, kColConst);
-  // Header + subheader + 7 one-word payloads.
-  EXPECT_EQ(LeafPageOccupiedBytes(page), kV3OffPayload + 7 * 8);
-  ExpectBitwiseEqualLeaves(IndexNode::Decode(page, node.self), node);
-}
-
-TEST(NodeCodecV3Test, ExtremeValuesRoundTripBitwise) {
-  // NaN-free adversarial doubles: extremes of magnitude, denormals, and the
-  // two zeros. Mixed signs defeat every compressed encoding, so this also
-  // exercises raw columns inside a v3 page (few entries, so it still fits).
-  const double specials[] = {std::numeric_limits<double>::max(),
-                             -std::numeric_limits<double>::max(),
-                             std::numeric_limits<double>::min(),
-                             std::numeric_limits<double>::denorm_min(),
-                             -std::numeric_limits<double>::denorm_min(),
-                             -0.0,
-                             0.0,
-                             1.0 + std::numeric_limits<double>::epsilon()};
-  IndexNode node;
-  node.self = 3;
-  node.level = 0;
-  const int n = static_cast<int>(std::size(specials));
-  for (int i = 0; i < n; ++i) {
-    LeafEntry e;
-    e.traj_id = (int64_t{1} << 62) + i;
-    e.t0 = specials[i];
-    e.t1 = specials[(i + 1) % n];
-    e.x0 = specials[(i + 2) % n];
-    e.y0 = specials[(i + 3) % n];
-    e.x1 = specials[(i + 4) % n];
-    e.y1 = specials[(i + 5) % n];
-    node.leaves.push_back(e);
-  }
-  Page page;
-  node.EncodeTo(&page, LeafPageFormat::kV3Compressed);
-  ASSERT_TRUE(IsV3LeafPage(page));
-  ExpectBitwiseEqualLeaves(IndexNode::Decode(page, node.self), node);
-}
-
-TEST(NodeCodecV3Test, SingleEntryAndEmptyLeavesRoundTrip) {
+// The page check admits exactly the two layouts the index writes and names
+// the fault in every other page.
+TEST(NodeCodecRandomTest, CheckNodePageAcceptsBothLayoutsAndNamesFaults) {
   Rng rng(5);
-  for (const int count : {0, 1}) {
-    const IndexNode node = RandomLeafNode(&rng, count, true);
-    Page page;
-    node.EncodeTo(&page, LeafPageFormat::kV3Compressed);
-    ASSERT_TRUE(IsV3LeafPage(page));
-    ExpectNodesEqual(IndexNode::Decode(page, node.self), node);
-  }
-}
+  int32_t level = -1;
+  Page leaf;
+  RandomLeafNode(&rng, IndexNode::kCapacity, true).EncodeTo(&leaf);
+  EXPECT_EQ(CheckNodePage(leaf, &level), "");
+  EXPECT_EQ(level, 0);
 
-TEST(NodeCodecV3Test, IncompressibleFullLeafDegradesToV2Page) {
-  // A full leaf of sign-mixed wide-range randoms compresses under no
-  // encoding; the writer must fall back to a plain v2 page rather than
-  // overflow, and the reader dispatches on the version byte as usual.
-  Rng rng(606);
-  const IndexNode node = RandomLeafNode(&rng, IndexNode::kCapacity, false);
-  Page page;
-  node.EncodeTo(&page, LeafPageFormat::kV3Compressed);
-  EXPECT_FALSE(IsV3LeafPage(page));
-  ASSERT_TRUE(IsV2LeafPage(page));
-  EXPECT_EQ(LeafPageOccupiedBytes(page), kPageSize);
-  ExpectNodesEqual(IndexNode::Decode(page, node.self), node);
-}
+  IndexNode internal;
+  internal.level = 2;
+  internal.internals.push_back({Mbb3(), 7, 0});
+  Page pi;
+  internal.EncodeTo(&pi);
+  EXPECT_EQ(CheckNodePage(pi, &level), "");
+  EXPECT_EQ(level, 2);
 
-TEST(NodeCodecV3Test, EncodeDeterministicAndIdempotent) {
-  Rng rng(4242);
-  for (int trial = 0; trial < 20; ++trial) {
-    const int count = static_cast<int>(rng.UniformInt(1, IndexNode::kCapacity));
-    const IndexNode node = ChainLeafNode(&rng, count);
-    Page a;
-    Page b;
-    node.EncodeTo(&a, LeafPageFormat::kV3Compressed);
-    node.EncodeTo(&b, LeafPageFormat::kV3Compressed);
-    EXPECT_EQ(a.bytes, b.bytes) << "same node must encode identically";
-    const IndexNode decoded = IndexNode::Decode(a, node.self);
-    Page c;
-    decoded.EncodeTo(&c, LeafPageFormat::kV3Compressed);
-    EXPECT_EQ(a.bytes, c.bytes);
-  }
-}
-
-TEST(NodeCodecV3Test, ValidateAcceptsSoundAndNamesCorruption) {
-  Rng rng(17);
-  const IndexNode node = ChainLeafNode(&rng, 40);
-  Page good;
-  node.EncodeTo(&good, LeafPageFormat::kV3Compressed);
-  ASSERT_TRUE(IsV3LeafPage(good));
-  EXPECT_EQ(ValidateV3LeafPage(good), "");
-
-  Page v2;
-  node.EncodeTo(&v2, LeafPageFormat::kV2Soa);
-  EXPECT_NE(ValidateV3LeafPage(v2).find("not a v3"), std::string::npos);
-
-  Page bad = good;
-  bad.bytes[kV3OffTags] = 200;  // no such encoding
-  EXPECT_NE(ValidateV3LeafPage(bad).find("encoding tag"), std::string::npos);
-
-  bad = good;
-  bad.bytes[kV3OffTags] = kColLink;  // link is only legal on end columns
-  EXPECT_NE(ValidateV3LeafPage(bad).find("start column"), std::string::npos);
-
-  bad = good;
-  bad.bytes[3] = 255;  // count beyond capacity
-  EXPECT_NE(ValidateV3LeafPage(bad).find("entry count"), std::string::npos);
-
-  bad = good;
-  // Column 0's little-endian uint16 length, inflated past the page.
-  bad.bytes[kV3OffLengths] = 0xff;
-  bad.bytes[kV3OffLengths + 1] = 0xff;
-  EXPECT_NE(ValidateV3LeafPage(bad).find("overflow"), std::string::npos);
-
-  bad = good;
-  bad.bytes[kV3OffLengths] += 1;  // mis-sized but still fits the page
-  EXPECT_NE(ValidateV3LeafPage(bad).find("mis-sized"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// v3 compressed internal pages.
-
-void ExpectBitwiseEqualInternals(const IndexNode& got, const IndexNode& want) {
-  ASSERT_EQ(got.Count(), want.Count());
-  for (size_t i = 0; i < want.internals.size(); ++i) {
-    const InternalEntry& g = got.internals[i];
-    const InternalEntry& w = want.internals[i];
-    EXPECT_EQ(std::bit_cast<uint64_t>(g.mbb.xlo),
-              std::bit_cast<uint64_t>(w.mbb.xlo));
-    EXPECT_EQ(std::bit_cast<uint64_t>(g.mbb.ylo),
-              std::bit_cast<uint64_t>(w.mbb.ylo));
-    EXPECT_EQ(std::bit_cast<uint64_t>(g.mbb.tlo),
-              std::bit_cast<uint64_t>(w.mbb.tlo));
-    EXPECT_EQ(std::bit_cast<uint64_t>(g.mbb.xhi),
-              std::bit_cast<uint64_t>(w.mbb.xhi));
-    EXPECT_EQ(std::bit_cast<uint64_t>(g.mbb.yhi),
-              std::bit_cast<uint64_t>(w.mbb.yhi));
-    EXPECT_EQ(std::bit_cast<uint64_t>(g.mbb.thi),
-              std::bit_cast<uint64_t>(w.mbb.thi));
-    EXPECT_EQ(g.child, w.child) << "entry " << i;
-    EXPECT_EQ(g.pad, 0) << "entry " << i;
-  }
-}
-
-IndexNode RandomInternalNode(Rng* rng, int count) {
-  IndexNode node;
-  node.self = static_cast<PageId>(rng->UniformInt(0, 1 << 20));
-  node.level = static_cast<int32_t>(rng->UniformInt(1, 5));
-  node.parent = static_cast<PageId>(rng->UniformInt(-1, 1 << 20));
-  for (int i = 0; i < count; ++i) {
-    InternalEntry e;
-    e.child = static_cast<PageId>(rng->UniformInt(0, 1 << 20));
-    e.mbb = RandomLeafEntry(rng).Bounds();
-    node.internals.push_back(e);
-  }
-  return node;
-}
-
-// A bulk-load-shaped internal node: spatially local sibling MBBs and
-// near-sequential child page ids — the case the format exists for.
-IndexNode ClusteredInternalNode(Rng* rng, int count) {
-  IndexNode node;
-  node.self = 3;
-  node.level = 1;
-  node.parent = 2;
-  const PageId base = static_cast<PageId>(rng->UniformInt(10, 1 << 16));
-  double x = rng->Uniform(100.0, 200.0);
-  double y = rng->Uniform(100.0, 200.0);
-  double t = rng->Uniform(1000.0, 2000.0);
-  for (int i = 0; i < count; ++i) {
-    InternalEntry e;
-    e.child = base + i;
-    e.mbb.xlo = x;
-    e.mbb.ylo = y;
-    e.mbb.tlo = t;
-    e.mbb.xhi = x + rng->Uniform(0.5, 3.0);
-    e.mbb.yhi = y + rng->Uniform(0.5, 3.0);
-    e.mbb.thi = t + rng->Uniform(5.0, 20.0);
-    x += rng->Uniform(-1.0, 1.0);
-    y += rng->Uniform(-1.0, 1.0);
-    t += rng->Uniform(1.0, 10.0);
-    node.internals.push_back(e);
-  }
-  return node;
-}
-
-TEST(NodeCodecV3InternalTest, RandomRoundTripBitwise) {
-  Rng rng(20260808);
-  for (int trial = 0; trial < 100; ++trial) {
-    const int count =
-        static_cast<int>(rng.UniformInt(1, IndexNode::kCapacity));
-    const IndexNode node = RandomInternalNode(&rng, count);
-    Page page;
-    node.EncodeTo(&page, LeafPageFormat::kV2Soa,
-                  InternalPageFormat::kV3Compressed);
-    // A decode must reproduce the node bitwise whether the encoder chose
-    // the compressed layout or fell back to raw v1.
-    const IndexNode decoded = IndexNode::Decode(page, node.self);
-    EXPECT_EQ(decoded.level, node.level);
-    EXPECT_EQ(decoded.parent, node.parent);
-    ExpectBitwiseEqualInternals(decoded, node);
-    if (IsV3InternalPage(page)) {
-      EXPECT_EQ(ValidateV3InternalPage(page), "");
-    }
-  }
-}
-
-TEST(NodeCodecV3InternalTest, ClusteredNodeCompressesWellAndStaysV3) {
-  Rng rng(99);
-  for (int trial = 0; trial < 20; ++trial) {
-    const IndexNode node = ClusteredInternalNode(&rng, IndexNode::kCapacity);
-    Page page;
-    node.EncodeTo(&page, LeafPageFormat::kV2Soa,
-                  InternalPageFormat::kV3Compressed);
-    ASSERT_TRUE(IsV3InternalPage(page));
-    EXPECT_EQ(page.bytes[1], kV3InternalVersion);
-    // Sequential children collapse under delta-of-delta (or FoR); spatially
-    // local coordinates beat raw even with full-mantissa noise.
-    const auto tags = V3InternalColumnTags(page);
-    EXPECT_TRUE(tags[6] == kColDod || tags[6] == kColFor) << int{tags[6]};
-    EXPECT_LT(PageOccupiedBytes(page), 3 * kPageSize / 4);
-    ExpectBitwiseEqualInternals(IndexNode::Decode(page, node.self), node);
-  }
-}
-
-TEST(NodeCodecV3InternalTest, GridAlignedMbbsBeatHalfPage) {
-  // Snapped coordinates (map-matched data, synthetic grids) expose the
-  // fixed-point encoding; with all six coordinate columns on a 1/8 grid
-  // the page clears the 2x bar the format exists for.
-  Rng rng(31337);
-  for (int trial = 0; trial < 10; ++trial) {
-    IndexNode node;
-    node.self = 7;
-    node.level = 1;
-    const PageId base = static_cast<PageId>(rng.UniformInt(10, 1 << 16));
-    for (int i = 0; i < IndexNode::kCapacity; ++i) {
-      const auto grid = [&rng](double lo, double hi) {
-        return 0.125 * static_cast<double>(rng.UniformInt(
-                           static_cast<int64_t>(lo * 8),
-                           static_cast<int64_t>(hi * 8)));
-      };
-      InternalEntry e;
-      e.child = base + i;
-      e.mbb.xlo = grid(100.0, 200.0);
-      e.mbb.ylo = grid(100.0, 200.0);
-      e.mbb.tlo = grid(1000.0, 2000.0);
-      e.mbb.xhi = e.mbb.xlo + grid(0.0, 4.0);
-      e.mbb.yhi = e.mbb.ylo + grid(0.0, 4.0);
-      e.mbb.thi = e.mbb.tlo + grid(0.0, 32.0);
-      node.internals.push_back(e);
-    }
-    Page page;
-    node.EncodeTo(&page, LeafPageFormat::kV2Soa,
-                  InternalPageFormat::kV3Compressed);
-    ASSERT_TRUE(IsV3InternalPage(page));
-    EXPECT_LT(PageOccupiedBytes(page), kPageSize / 2);
-    ExpectBitwiseEqualInternals(IndexNode::Decode(page, node.self), node);
-  }
-}
-
-TEST(NodeCodecV3InternalTest, AdversarialMbbsRoundTripBitwise) {
-  // NaNs (routing boxes never hold them, but the codec must not corrupt
-  // rather than assume), infinities (empty Mbb3 default state), denormals,
-  // the two zeros, and magnitude extremes.
-  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
-                             std::numeric_limits<double>::infinity(),
-                             -std::numeric_limits<double>::infinity(),
-                             std::numeric_limits<double>::max(),
-                             -std::numeric_limits<double>::max(),
-                             std::numeric_limits<double>::denorm_min(),
-                             -std::numeric_limits<double>::denorm_min(),
-                             -0.0,
-                             0.0};
-  const int n = static_cast<int>(std::size(specials));
-  IndexNode node;
-  node.self = 11;
-  node.level = 2;
-  for (int i = 0; i < n; ++i) {
-    InternalEntry e;
-    e.child = 100 + i;
-    e.mbb.xlo = specials[i];
-    e.mbb.ylo = specials[(i + 1) % n];
-    e.mbb.tlo = specials[(i + 2) % n];
-    e.mbb.xhi = specials[(i + 3) % n];
-    e.mbb.yhi = specials[(i + 4) % n];
-    e.mbb.thi = specials[(i + 5) % n];
-    node.internals.push_back(e);
-  }
-  Page page;
-  node.EncodeTo(&page, LeafPageFormat::kV2Soa,
-                InternalPageFormat::kV3Compressed);
-  ExpectBitwiseEqualInternals(IndexNode::Decode(page, node.self), node);
-}
-
-TEST(NodeCodecV3InternalTest, SingleEntryNodeRoundTrips) {
-  // A root freshly split down to one child — the n==1 special cases of
-  // every encoding (DoD stores just the first key, FoR a zero width).
-  IndexNode node;
-  node.self = 0;
-  node.level = 1;
-  node.internals.push_back({Mbb3{0.0, 1.0, 2.0, 3.0, 4.0, 5.0}, 42, 0});
-  Page page;
-  node.EncodeTo(&page, LeafPageFormat::kV2Soa,
-                InternalPageFormat::kV3Compressed);
-  ASSERT_TRUE(IsV3InternalPage(page));
-  ExpectBitwiseEqualInternals(IndexNode::Decode(page, node.self), node);
-}
-
-TEST(NodeCodecV3InternalTest, VersionByteDispatchLeavesUnaffected) {
-  // The internal format knob must not leak into leaf encodes and vice
-  // versa: a leaf under (v3 leaf, v3 internal) options is a v3 *leaf* page,
-  // an internal node under (v3 leaf, v1 internal) stays raw v1.
-  Rng rng(5);
-  const IndexNode leaf = ChainLeafNode(&rng, 40);
-  Page leaf_page;
-  leaf.EncodeTo(&leaf_page, LeafPageFormat::kV3Compressed,
-                InternalPageFormat::kV3Compressed);
-  EXPECT_TRUE(IsV3LeafPage(leaf_page));
-  EXPECT_FALSE(IsV3InternalPage(leaf_page));
-
-  const IndexNode internal = ClusteredInternalNode(&rng, 20);
-  Page v1_page;
-  internal.EncodeTo(&v1_page, LeafPageFormat::kV3Compressed,
-                    InternalPageFormat::kV1Aos);
-  EXPECT_EQ(v1_page.bytes[1], 0);  // raw v1 layout
-  ExpectBitwiseEqualInternals(IndexNode::Decode(v1_page, internal.self),
-                              internal);
-}
-
-TEST(NodeCodecV3InternalTest, EncodeDeterministicAndIdempotent) {
-  Rng rng(4242);
-  for (int trial = 0; trial < 20; ++trial) {
-    const int count =
-        static_cast<int>(rng.UniformInt(1, IndexNode::kCapacity));
-    const IndexNode node = ClusteredInternalNode(&rng, count);
-    Page a;
-    Page b;
-    node.EncodeTo(&a, LeafPageFormat::kV2Soa,
-                  InternalPageFormat::kV3Compressed);
-    node.EncodeTo(&b, LeafPageFormat::kV2Soa,
-                  InternalPageFormat::kV3Compressed);
-    EXPECT_EQ(a.bytes, b.bytes) << "same node must encode identically";
-    const IndexNode decoded = IndexNode::Decode(a, node.self);
-    Page c;
-    decoded.EncodeTo(&c, LeafPageFormat::kV2Soa,
-                     InternalPageFormat::kV3Compressed);
-    EXPECT_EQ(a.bytes, c.bytes);
-  }
-}
-
-TEST(NodeCodecV3InternalTest, ValidateAcceptsSoundAndNamesCorruption) {
-  Rng rng(17);
-  const IndexNode node = ClusteredInternalNode(&rng, 40);
-  Page good;
-  node.EncodeTo(&good, LeafPageFormat::kV2Soa,
-                InternalPageFormat::kV3Compressed);
-  ASSERT_TRUE(IsV3InternalPage(good));
-  EXPECT_EQ(ValidateV3InternalPage(good), "");
-
-  Page v1;
-  node.EncodeTo(&v1);
-  EXPECT_NE(ValidateV3InternalPage(v1).find("not a v3"), std::string::npos);
-
-  Page bad = good;
-  bad.bytes[0] = 0;  // internal pages must sit at level >= 1
-  EXPECT_NE(ValidateV3InternalPage(bad).find("leaf level"),
+  Page bad = leaf;
+  bad.WriteAt<uint8_t>(3, 200);  // leaf entry count
+  EXPECT_NE(CheckNodePage(bad, &level).find("leaf entry count 200"),
             std::string::npos);
 
-  bad = good;
-  bad.bytes[kV3OffTags] = 200;  // no such encoding
-  EXPECT_NE(ValidateV3InternalPage(bad).find("encoding tag"),
+  bad = pi;
+  bad.WriteAt<int32_t>(4, 73);  // internal entry count
+  EXPECT_NE(CheckNodePage(bad, &level).find("internal entry count 73"),
             std::string::npos);
 
-  bad = good;
-  bad.bytes[kV3OffTags] = kColLink;  // link has no meaning between MBBs
-  EXPECT_NE(ValidateV3InternalPage(bad).find("link"), std::string::npos);
-
-  bad = good;
-  bad.bytes[3] = 255;  // count beyond capacity
-  EXPECT_NE(ValidateV3InternalPage(bad).find("entry count"),
+  // A v1 row-major leaf: int32 level 0, int32 count, row-major entries.
+  Page v1_leaf;
+  v1_leaf.WriteAt<int32_t>(0, 0);
+  v1_leaf.WriteAt<int32_t>(4, 5);
+  EXPECT_NE(CheckNodePage(v1_leaf, &level).find("v1 row-major leaf"),
             std::string::npos);
 
-  bad = good;
-  // Column 0's little-endian uint16 length, inflated past the page.
-  bad.bytes[kV3OffLengths] = 0xff;
-  bad.bytes[kV3OffLengths + 1] = 0xff;
-  EXPECT_NE(ValidateV3InternalPage(bad).find("overflow"), std::string::npos);
-
-  bad = good;
-  bad.bytes[kV3OffLengths] += 1;  // mis-sized but still fits the page
-  EXPECT_NE(ValidateV3InternalPage(bad).find("mis-sized"), std::string::npos);
+  for (const uint8_t version : {3, 4}) {
+    bad = leaf;
+    bad.WriteAt<uint8_t>(1, version);
+    const std::string fault = CheckNodePage(bad, &level);
+    EXPECT_NE(fault.find("v3 compressed"), std::string::npos) << fault;
+    EXPECT_NE(fault.find("rebuild"), std::string::npos) << fault;
+  }
+  bad = leaf;
+  bad.WriteAt<uint8_t>(1, 9);
+  EXPECT_NE(CheckNodePage(bad, &level).find("format version 9"),
+            std::string::npos);
 }
 
-// Full-tree identity: v3 internal pages must not change tree shape, query
-// results, or node-access counts, and a saved v3-internal file must reload
-// (through the io validation) query-identical.
-TEST(NodeCodecV3InternalTest, V3InternalTreeQueryIdentical) {
-  GstdOptions gopt;
-  gopt.num_objects = 40;
-  gopt.samples_per_object = 60;
-  gopt.timestamp_jitter = 0.4;
-  gopt.seed = 424242;
-  const TrajectoryStore store = GenerateGstd(gopt);
-
-  TBTree v2tree;  // default: v2 leaves, v1 internals
-  v2tree.BuildFrom(store);
-  TBTree::Options v3opt;
-  v3opt.leaf_format = LeafPageFormat::kV3Compressed;
-  v3opt.internal_format = InternalPageFormat::kV3Compressed;
-  TBTree v3tree(v3opt);
-  v3tree.BuildFrom(store);
-
-  ASSERT_EQ(v3tree.NodeCount(), v2tree.NodeCount());
-  ASSERT_EQ(v3tree.root(), v2tree.root());
-  ASSERT_EQ(v3tree.height(), v2tree.height());
-  v3tree.CheckInvariants();
-
-  // At least one internal page must actually be v3-compressed.
-  v3tree.buffer().Flush();
-  int v3_internal_pages = 0;
-  for (PageId id = 0; id < v3tree.NodeCount(); ++id) {
-    if (IsV3InternalPage(*v3tree.buffer().Pin(id))) ++v3_internal_pages;
-  }
-  EXPECT_GT(v3_internal_pages, 0);
-
-  const std::string path = ::testing::TempDir() + "/v3_internal_index.bin";
-  ASSERT_TRUE(SaveIndex(v3tree, path));
-  std::string error;
-  const auto loaded = LoadIndex(path, &error);
-  ASSERT_NE(loaded, nullptr) << error;
-  loaded->CheckInvariants();
-
-  const BFMstSearch s_v2(&v2tree, &store);
-  const BFMstSearch s_v3(&v3tree, &store);
-  const BFMstSearch s_loaded(loaded.get(), &store);
-  MstOptions options;
-  options.k = 5;
-  for (size_t qi = 0; qi < store.size(); qi += 7) {
-    const Trajectory& query = store.trajectories()[qi];
-    options.exclude_id = query.id();
-    const TimeInterval period = query.Lifespan();
-    MstStats st_v2;
-    MstStats st_v3;
-    MstStats st_loaded;
-    const auto r_v2 = s_v2.Search(query, period, options, &st_v2);
-    const auto r_v3 = s_v3.Search(query, period, options, &st_v3);
-    const auto r_loaded = s_loaded.Search(query, period, options, &st_loaded);
-    ASSERT_EQ(r_v3.size(), r_v2.size());
-    ASSERT_EQ(r_v3.size(), r_loaded.size());
-    for (size_t i = 0; i < r_v3.size(); ++i) {
-      EXPECT_EQ(r_v3[i].id, r_v2[i].id);
-      EXPECT_EQ(r_v3[i].dissim, r_v2[i].dissim);
-      EXPECT_EQ(r_v3[i].id, r_loaded[i].id);
-      EXPECT_EQ(r_v3[i].dissim, r_loaded[i].dissim);
-    }
-    EXPECT_EQ(st_v3.nodes_accessed, st_v2.nodes_accessed);
-    EXPECT_EQ(st_v3.nodes_accessed, st_loaded.nodes_accessed);
-    EXPECT_EQ(st_v3.leaf_entries_seen, st_v2.leaf_entries_seen);
-  }
-}
-
-// A v1-written index *file* must be query-identical when read by the
-// current (v2-default) code path.
-TEST(NodeCodecCompatTest, V1FileQueryIdenticalUnderV2Code) {
-  GstdOptions gopt;
-  gopt.num_objects = 40;
-  gopt.samples_per_object = 60;
-  gopt.timestamp_jitter = 0.4;
-  gopt.seed = 424242;
-  const TrajectoryStore store = GenerateGstd(gopt);
-
-  TBTree::Options v1opt;
-  v1opt.leaf_format = LeafPageFormat::kV1Aos;
-  TBTree v1tree(v1opt);
-  v1tree.BuildFrom(store);
-  TBTree v2tree;  // default options write v2 pages
-  v2tree.BuildFrom(store);
-  ASSERT_EQ(v2tree.leaf_format(), LeafPageFormat::kV2Soa);
-  ASSERT_EQ(v1tree.NodeCount(), v2tree.NodeCount());
-
-  const std::string path = ::testing::TempDir() + "/v1_index.bin";
-  ASSERT_TRUE(SaveIndex(v1tree, path));
-  std::string error;
-  const auto loaded = LoadIndex(path, &error);
-  ASSERT_NE(loaded, nullptr) << error;
-
-  v1tree.CheckInvariants();
-  loaded->CheckInvariants();
-
-  const BFMstSearch s_v1(&v1tree, &store);
-  const BFMstSearch s_v2(&v2tree, &store);
-  const BFMstSearch s_loaded(loaded.get(), &store);
-  MstOptions options;
-  options.k = 5;
-  for (size_t qi = 0; qi < store.size(); qi += 7) {
-    const Trajectory& query = store.trajectories()[qi];
-    options.exclude_id = query.id();
-    const TimeInterval period = query.Lifespan();
-    MstStats st_v1;
-    MstStats st_v2;
-    MstStats st_loaded;
-    const auto r_v1 = s_v1.Search(query, period, options, &st_v1);
-    const auto r_v2 = s_v2.Search(query, period, options, &st_v2);
-    const auto r_loaded = s_loaded.Search(query, period, options, &st_loaded);
-    ASSERT_EQ(r_v1.size(), r_v2.size());
-    ASSERT_EQ(r_v1.size(), r_loaded.size());
-    for (size_t i = 0; i < r_v1.size(); ++i) {
-      EXPECT_EQ(r_v1[i].id, r_v2[i].id);
-      EXPECT_EQ(r_v1[i].dissim, r_v2[i].dissim);
-      EXPECT_EQ(r_v1[i].id, r_loaded[i].id);
-      EXPECT_EQ(r_v1[i].dissim, r_loaded[i].dissim);
-    }
-    // Node accesses (the paper's I/O metric) are layout-independent.
-    EXPECT_EQ(st_v1.nodes_accessed, st_v2.nodes_accessed);
-    EXPECT_EQ(st_v1.nodes_accessed, st_loaded.nodes_accessed);
-    EXPECT_EQ(st_v1.leaf_entries_seen, st_v2.leaf_entries_seen);
-  }
-}
-
-// All three leaf formats — including a v3 file saved and reloaded — must
-// produce bitwise-identical results and identical node-access counts.
-TEST(NodeCodecCompatTest, MixedFormatFilesQueryIdentical) {
-  GstdOptions gopt;
-  gopt.num_objects = 40;
-  gopt.samples_per_object = 60;
-  gopt.timestamp_jitter = 0.4;
-  gopt.seed = 424242;
-  const TrajectoryStore store = GenerateGstd(gopt);
-
-  TBTree::Options v1opt;
-  v1opt.leaf_format = LeafPageFormat::kV1Aos;
-  TBTree v1tree(v1opt);
-  v1tree.BuildFrom(store);
-  TBTree v2tree;  // default options write v2 pages
-  v2tree.BuildFrom(store);
-  TBTree::Options v3opt;
-  v3opt.leaf_format = LeafPageFormat::kV3Compressed;
-  TBTree v3tree(v3opt);
-  v3tree.BuildFrom(store);
-
-  // Compression must not change the tree shape: same pages, same root.
-  ASSERT_EQ(v3tree.NodeCount(), v2tree.NodeCount());
-  ASSERT_EQ(v3tree.root(), v2tree.root());
-  v3tree.CheckInvariants();
-
-  const std::string path = ::testing::TempDir() + "/v3_index.bin";
-  ASSERT_TRUE(SaveIndex(v3tree, path));
-  std::string error;
-  const auto loaded = LoadIndex(path, &error);
-  ASSERT_NE(loaded, nullptr) << error;
-  loaded->CheckInvariants();
-
-  const BFMstSearch s_v1(&v1tree, &store);
-  const BFMstSearch s_v2(&v2tree, &store);
-  const BFMstSearch s_v3(&v3tree, &store);
-  const BFMstSearch s_loaded(loaded.get(), &store);
-  MstOptions options;
-  options.k = 5;
-  for (size_t qi = 0; qi < store.size(); qi += 7) {
-    const Trajectory& query = store.trajectories()[qi];
-    options.exclude_id = query.id();
-    const TimeInterval period = query.Lifespan();
-    MstStats st_v1;
-    MstStats st_v2;
-    MstStats st_v3;
-    MstStats st_loaded;
-    const auto r_v1 = s_v1.Search(query, period, options, &st_v1);
-    const auto r_v2 = s_v2.Search(query, period, options, &st_v2);
-    const auto r_v3 = s_v3.Search(query, period, options, &st_v3);
-    const auto r_loaded = s_loaded.Search(query, period, options, &st_loaded);
-    ASSERT_EQ(r_v3.size(), r_v2.size());
-    ASSERT_EQ(r_v3.size(), r_v1.size());
-    ASSERT_EQ(r_v3.size(), r_loaded.size());
-    for (size_t i = 0; i < r_v3.size(); ++i) {
-      EXPECT_EQ(r_v3[i].id, r_v2[i].id);
-      EXPECT_EQ(r_v3[i].dissim, r_v2[i].dissim);
-      EXPECT_EQ(r_v3[i].id, r_v1[i].id);
-      EXPECT_EQ(r_v3[i].id, r_loaded[i].id);
-      EXPECT_EQ(r_v3[i].dissim, r_loaded[i].dissim);
-    }
-    EXPECT_EQ(st_v3.nodes_accessed, st_v2.nodes_accessed);
-    EXPECT_EQ(st_v3.nodes_accessed, st_v1.nodes_accessed);
-    EXPECT_EQ(st_v3.nodes_accessed, st_loaded.nodes_accessed);
-    EXPECT_EQ(st_v3.leaf_entries_seen, st_v2.leaf_entries_seen);
-  }
+TEST(NodeCodecDeathTest, DecodeAbortsOnRetiredLeafLayout) {
+  Page v1_leaf;
+  v1_leaf.WriteAt<int32_t>(0, 0);
+  v1_leaf.WriteAt<int32_t>(4, 5);
+  EXPECT_DEATH(IndexNode::Decode(v1_leaf, 0), "not an internal node page");
 }
 
 }  // namespace

@@ -136,44 +136,6 @@ TEST(BufferManagerTest, SetCapacityShrinksAndEvicts) {
   for (PageId id = 0; id < 6; ++id) buf.Pin(id);
 }
 
-TEST(BufferManagerTest, ByteBudgetKeepsMoreCompressedPagesResident) {
-  PageFile f;
-  // A maximally compressible v3 leaf: constant columns occupy 144 bytes of
-  // the 4 KB page.
-  IndexNode node;
-  node.level = 0;
-  LeafEntry e;
-  e.traj_id = 42;
-  e.t0 = 1.0;
-  e.t1 = 2.0;
-  e.x0 = e.x1 = 3.5;
-  e.y0 = e.y1 = -4.25;
-  for (int i = 0; i < IndexNode::kCapacity; ++i) node.leaves.push_back(e);
-  Page encoded;
-  node.EncodeTo(&encoded, LeafPageFormat::kV3Compressed);
-  std::vector<PageId> ids;
-  for (int i = 0; i < 16; ++i) {
-    ids.push_back(f.Allocate());
-    f.Write(ids.back(), encoded);
-  }
-
-  BufferManager buf(&f, 4, /*num_shards=*/1);
-  for (const PageId id : ids) buf.Pin(id);
-  EXPECT_EQ(buf.resident_frames(), 4u);  // page budget: 4 frames, period
-
-  // The byte budget (4 pages' worth of bytes) holds every compressed frame.
-  buf.SetByteBudgetMode(true);
-  for (const PageId id : ids) buf.Pin(id);
-  EXPECT_EQ(buf.resident_frames(), 16u);
-  const int64_t misses_before = buf.misses();
-  for (const PageId id : ids) buf.Pin(id);
-  EXPECT_EQ(buf.misses(), misses_before);  // all hits
-
-  // Switching back re-applies the frame-count budget and evicts.
-  buf.SetByteBudgetMode(false);
-  EXPECT_LE(buf.resident_frames(), 4u);
-}
-
 TEST(BufferManagerTest, PinnedFrameSurvivesEvictionPressure) {
   PageFile f;
   BufferManager buf(&f, 2, /*num_shards=*/1);
