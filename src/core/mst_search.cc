@@ -256,8 +256,7 @@ std::vector<MstResult> BFMstSearch::Search(const Trajectory& query,
       continue;
     }
 
-    // Leaf: stream the columns straight from the page (zero-copy for v2
-    // pages with the node cache off — see ReadLeafColumns). One
+    // Leaf: stream the decoded node's columns (see ReadLeafColumns). One
     // vectorizable pass over the columnar view computes every entry's query
     // window and its DISSIM lower bound (batched leaf-level pruning), then
     // entries are processed in temporal order (the paper's line 10).

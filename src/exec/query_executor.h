@@ -93,9 +93,9 @@ struct QueryOutcome {
   /// True when a shutdown dropped the request before a worker ran it (its
   /// `results` are empty and `stats` is default-constructed).
   bool cancelled = false;
-  /// True when the shard front-end's admission control turned the request
-  /// away before any work was queued (src/shard/shard_frontend.h; the
-  /// executor itself never sets this). `results` are empty.
+  /// Never set: nothing in the engine turns a request away. Kept only
+  /// because the end-to-end benchmark reads it; delete it with that
+  /// benchmark's next change.
   bool rejected = false;
 };
 

@@ -58,19 +58,6 @@ PageGuard::PageGuard(PageGuard&& other) noexcept
   other.writable_ = false;
 }
 
-PageGuard& PageGuard::operator=(PageGuard&& other) noexcept {
-  if (this != &other) {
-    Release();
-    owner_ = std::exchange(other.owner_, nullptr);
-    shard_ = std::exchange(other.shard_, nullptr);
-    frame_ = std::exchange(other.frame_, nullptr);
-    page_ = std::exchange(other.page_, nullptr);
-    id_ = std::exchange(other.id_, kInvalidPageId);
-    writable_ = std::exchange(other.writable_, false);
-  }
-  return *this;
-}
-
 PageGuard::~PageGuard() { Release(); }
 
 void PageGuard::Release() {

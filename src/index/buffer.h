@@ -32,19 +32,17 @@ struct BufferShard;
 /// resident and its Page pointer stays valid; destruction (or Release())
 /// unpins the frame. Guards from Pin() expose read-only bytes; guards from
 /// PinMutable() additionally allow mutable_page() and mark the frame dirty.
-/// Move-only. A guard must not outlive its BufferManager.
+/// Move-constructible only. A guard must not outlive its BufferManager.
 class PageGuard {
  public:
-  PageGuard() = default;
   PageGuard(PageGuard&& other) noexcept;
-  PageGuard& operator=(PageGuard&& other) noexcept;
   PageGuard(const PageGuard&) = delete;
   PageGuard& operator=(const PageGuard&) = delete;
   ~PageGuard();
 
   bool valid() const { return frame_ != nullptr; }
 
-  /// Page id this guard pins (kInvalidPageId for an empty guard).
+  /// Page id this guard pins (kInvalidPageId once moved from or released).
   PageId id() const { return id_; }
 
   const Page& operator*() const {

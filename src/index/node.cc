@@ -196,28 +196,6 @@ std::string CheckNodePage(const Page& page, int32_t* level) {
   return "";
 }
 
-LeafView ViewOfV2LeafPage(const Page& page, PageId* next_leaf) {
-  MST_DCHECK(IsLeafPage(page));
-  LeafView v;
-  v.count = page.ReadAt<uint8_t>(kV2OffCount);
-  v.time_sorted =
-      (page.ReadAt<uint8_t>(kV2OffFlags) & kV2FlagTimeSorted) != 0;
-  v.bounds = page.ReadAt<Mbb3>(kV2OffBounds);
-  if (next_leaf != nullptr) *next_leaf = page.ReadAt<PageId>(kV2OffNextLeaf);
-  // The column region is an exact LeafBlock image at an 8-byte-aligned
-  // offset of the (alignas(8)) page, so the columns are readable in place.
-  const auto* block =
-      reinterpret_cast<const LeafBlock*>(page.bytes.data() + kV2OffColumns);
-  v.t0 = block->t0;
-  v.x0 = block->x0;
-  v.y0 = block->y0;
-  v.t1 = block->t1;
-  v.x1 = block->x1;
-  v.y1 = block->y1;
-  v.traj_id = block->traj_id;
-  return v;
-}
-
 IndexNode IndexNode::Decode(const Page& page, PageId self) {
   IndexNode node;
   node.self = self;

@@ -344,13 +344,6 @@ using NodeRef = std::shared_ptr<const IndexNode>;
 /// (they need the page count).
 std::string CheckNodePage(const Page& page, int32_t* level);
 
-/// Builds a LeafView that aliases a v2 leaf page's column region in place —
-/// the zero-copy read path. The page layout IS the in-memory layout, so no
-/// block copy or IndexNode materialization happens; the caller must keep
-/// `page` alive (pinned) for the lifetime of the view. Optionally also
-/// reads the leaf-chain link out of the header.
-LeafView ViewOfV2LeafPage(const Page& page, PageId* next_leaf = nullptr);
-
 }  // namespace mst
 
 #endif  // MST_INDEX_NODE_H_

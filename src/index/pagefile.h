@@ -33,9 +33,9 @@ using PageId = int32_t;
 inline constexpr PageId kInvalidPageId = -1;
 
 /// One fixed-size page of raw bytes, with bounds-checked scalar access
-/// helpers used by the node serializers. Pages are 8-byte aligned so the
+/// helpers used by the node serializers. Pages are 8-byte aligned, so the
 /// v2 leaf layout's column region (a LeafBlock image at an 8-byte offset)
-/// can be read in place, without copying it out of the buffer frame.
+/// keeps the alignment of the doubles it holds.
 struct alignas(8) Page {
   std::array<uint8_t, kPageSize> bytes{};
 

@@ -69,19 +69,9 @@ NodeRef TrajectoryIndex::ReadNode(PageId id) const {
 TrajectoryIndex::LeafPageRead TrajectoryIndex::ReadLeafColumns(
     PageId id) const {
   LeafPageRead out;
-  if (node_cache_.enabled()) {
-    // Cached nodes outlive the pin, and the cache must keep observing the
-    // same lookup/insert traffic — delegate, behavior unchanged.
-    out.node = ReadNode(id);
-    out.view = out.node->leaves.View();
-    out.next_leaf = out.node->next_leaf;
-    return out;
-  }
-  // Same accounting as ReadNode: one logical access, one Pin.
-  node_accesses_.fetch_add(1, std::memory_order_relaxed);
-  ++tls_node_accesses;
-  out.guard = buffer_.Pin(id);
-  out.view = ViewOfV2LeafPage(*out.guard, &out.next_leaf);
+  out.node = ReadNode(id);
+  out.view = out.node->leaves.View();
+  out.next_leaf = out.node->next_leaf;
   return out;
 }
 

@@ -112,21 +112,17 @@ class TrajectoryIndex {
   /// callers needing to modify entries must copy them.
   NodeRef ReadNode(PageId id) const;
 
-  /// One leaf page read for column streaming. Exactly one of `node` /
-  /// `guard` backs `view`; keep the struct alive while the view is used.
+  /// One leaf page read for column streaming. `node` backs `view`; keep
+  /// the struct alive while the view is used.
   struct LeafPageRead {
-    NodeRef node;     // decoded path (node cache enabled)
-    PageGuard guard;  // zero-copy path (node cache disabled)
+    NodeRef node;
     LeafView view;
     PageId next_leaf = kInvalidPageId;
   };
 
-  /// Reads a page the caller knows is a leaf. With the decoded-node cache
-  /// disabled, the returned view aliases the pinned buffer frame directly —
-  /// no block copy, no IndexNode materialization (the structural payoff of
-  /// the columnar leaf layout). Accounting is identical to ReadNode on both
-  /// paths: one logical node access, and the same single buffer Pin, so
-  /// node-access and I/O counters are unchanged.
+  /// Reads a page the caller knows is a leaf through ReadNode (same
+  /// accounting: one logical node access, at most one buffer Pin) and
+  /// returns its column view and leaf-chain link.
   LeafPageRead ReadLeafColumns(PageId id) const;
 
   /// Number of nodes (== allocated pages).

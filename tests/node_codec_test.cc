@@ -1,7 +1,6 @@
 // Randomized round-trip tests of the node codec: v2 (columnar) leaf pages,
 // v1 (raw) internal pages, the version-byte dispatch, the fixed v2 column
-// offsets, the zero-copy page view, and the page check that rejects every
-// other layout.
+// offsets, and the page check that rejects every other layout.
 
 #include <gtest/gtest.h>
 
@@ -167,32 +166,6 @@ TEST(NodeCodecRandomTest, V2ColumnsAtFixedOffsets) {
     EXPECT_EQ(id, e.traj_id);
   }
   EXPECT_EQ(page.bytes[3], 17);  // count byte
-}
-
-TEST(NodeCodecRandomTest, ZeroCopyViewMatchesDecodedView) {
-  // The in-place page view (ViewOfV2LeafPage) must agree field-for-field
-  // with the view of a fully decoded node — they are interchangeable read
-  // paths over the same bytes.
-  Rng rng(31);
-  for (int trial = 0; trial < 50; ++trial) {
-    const int count =
-        static_cast<int>(rng.UniformInt(0, IndexNode::kCapacity));
-    const IndexNode node = RandomLeafNode(&rng, count, rng.Bernoulli(0.5));
-    Page page;
-    node.EncodeTo(&page);
-    PageId next = kInvalidPageId;
-    const LeafView raw = ViewOfV2LeafPage(page, &next);
-    EXPECT_EQ(next, node.next_leaf);
-    const IndexNode decoded = IndexNode::Decode(page, node.self);
-    const LeafView ref = decoded.leaves.View();
-    ASSERT_EQ(raw.count, ref.count);
-    EXPECT_EQ(raw.time_sorted, ref.time_sorted);
-    EXPECT_EQ(raw.bounds.xlo, ref.bounds.xlo);
-    EXPECT_EQ(raw.bounds.thi, ref.bounds.thi);
-    for (int i = 0; i < raw.count; ++i) {
-      EXPECT_EQ(raw.Entry(i), ref.Entry(i)) << "entry " << i;
-    }
-  }
 }
 
 TEST(NodeCodecRandomTest, EncodeDeterministicAndIdempotent) {

@@ -20,10 +20,11 @@ Metrics are compared in two tiers:
 
 Perf comparisons never fail the build: shared-runner noise would make a
 hard gate flap. Structural problems DO fail it (exit 2): a missing or
-unparsable JSON on either side (a broken bench or a forgotten baseline) and
-a schema_version mismatch (the field conventions changed without
+unparsable JSON on either side (a broken bench or a forgotten baseline), a
+schema_version mismatch (the field conventions changed without
 re-committing the baseline — every subsequent comparison would be
-silently meaningless).
+silently meaningless), and a compare that checked no metric at all (the
+guard would pass whatever the bench measured).
 
 Usage: check_bench_regression.py --fresh NEW.json --baseline OLD.json \
            [--threshold 0.20]
@@ -159,6 +160,11 @@ def main():
 
     print(f"{name}: {checked} metrics checked, {warnings} above the "
           f"{100 * args.threshold:.0f}% drop threshold")
+    if checked == 0:
+        print(f"::error file={name}::no metric was comparable with the "
+              "baseline; give the bench a scale-free ratio metric or "
+              "re-commit the baseline")
+        return 2
     return 0
 
 

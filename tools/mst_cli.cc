@@ -197,7 +197,6 @@ int CmdMst(int argc, char** argv) {
   double begin = 0.0;
   double end = 0.0;
   int64_t k = 1;
-  bool eager = false;
   FlagParser flags;
   flags.AddString("data", &data, "CSV dataset (required)");
   flags.AddString("index", &index_path, "index file (required)");
@@ -206,7 +205,6 @@ int CmdMst(int argc, char** argv) {
   flags.AddDouble("begin", &begin, "query period begin");
   flags.AddDouble("end", &end, "query period end (0 = full lifespan)");
   flags.AddInt("k", &k, "number of results");
-  flags.AddBool("eager", &eager, "use eager completion (TB-tree only)");
   if (!flags.Parse(argc, argv)) return 1;
   if (data.empty() || index_path.empty()) {
     flags.PrintUsage("mst_cli mst");
@@ -227,7 +225,6 @@ int CmdMst(int argc, char** argv) {
   MstOptions options;
   options.k = static_cast<int>(k);
   options.exclude_id = query_id;
-  options.use_eager_completion = eager;
   const BFMstSearch searcher(ctx.index.get(), &*ctx.store);
   MstStats stats;
   WallTimer timer;
