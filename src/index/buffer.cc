@@ -168,6 +168,10 @@ PageGuard BufferManager::PinMutable(PageId id) {
   return PinImpl(id, /*writable=*/true, /*load_from_disk=*/true);
 }
 
+PageGuard BufferManager::PinForOverwrite(PageId id) {
+  return PinImpl(id, /*writable=*/true, /*load_from_disk=*/false);
+}
+
 void BufferManager::Unpin(BufferShard* shard, BufferFrame* frame,
                           bool writable) {
   std::lock_guard<std::mutex> lock(shard->mu);

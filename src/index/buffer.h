@@ -114,6 +114,10 @@ class BufferManager {
   /// the PageFile when evicted or on Flush().
   PageGuard PinMutable(PageId id);
 
+  /// PinMutable for a caller that overwrites the whole page: a miss does
+  /// not read the page's old bytes from the file.
+  PageGuard PinForOverwrite(PageId id);
+
   /// Allocates a fresh page in the underlying file and returns its id with a
   /// zeroed, dirty, unpinned frame already resident.
   PageId AllocatePage();

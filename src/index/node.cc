@@ -151,10 +151,14 @@ void IndexNode::EncodeTo(Page* page) const {
   page->WriteAt<PageId>(kV1OffPrevLeaf, prev_leaf);
   page->WriteAt<PageId>(kV1OffNextLeaf, next_leaf);
   page->WriteAt<int32_t>(kV1OffPad, 0);
+  const size_t used = static_cast<size_t>(count) * kEntrySize;
   if (count > 0) {
-    std::memcpy(page->bytes.data() + kHeaderSize, internals.data(),
-                static_cast<size_t>(count) * kEntrySize);
+    std::memcpy(page->bytes.data() + kHeaderSize, internals.data(), used);
   }
+  // Zero the rest of the page, as leaf pages are: the bytes of a page then
+  // depend only on the node, never on what the page held before.
+  std::memset(page->bytes.data() + kHeaderSize + used, 0,
+              kPageSize - kHeaderSize - used);
 }
 
 std::string CheckNodePage(const Page& page, int32_t* level) {

@@ -16,7 +16,8 @@
 //   Internal (v1, raw):   24-byte header (int32 level ≥ 1, int32 count,
 //                         parent page, two unused link slots, padding)
 //                         followed by 56-byte row-major entries (child MBB +
-//                         child page) — the shape the MINDIST loop reads.
+//                         child page) — the shape the MINDIST loop reads —
+//                         and a zeroed tail.
 //
 // Fanout is (4096 − 24) / 56 = 72 entries at every level, which the paper's
 // Table 2 / Fig 8–10 page and node-access counts depend on.
@@ -322,7 +323,9 @@ struct IndexNode {
   Mbb3 Bounds() const;
 
   /// Serializes into `page` (asserts Count() <= kCapacity): leaves as v2
-  /// columnar pages, internal nodes as v1 raw pages.
+  /// columnar pages, internal nodes as v1 raw pages. Every byte of the page
+  /// is written (unused entry slots as zeros), so the bytes are a function
+  /// of the node alone.
   void EncodeTo(Page* page) const;
 
   /// Parses a node from a page that passed CheckNodePage (aborts on any

@@ -12,10 +12,10 @@
 // not bytes).
 //
 // Consistency: every page carries a version, bumped by Invalidate() (called
-// from TrajectoryIndex::WriteNode on any modification). A reader observes
-// the version before decoding and Insert() rejects the decoded node if the
-// version moved meanwhile, so a writer racing a decode can never publish
-// stale entries. Counters (hits/misses/invalidations) are relaxed atomics
+// when a node leaves TrajectoryIndex's build arena for its page). A reader
+// observes the version before decoding and Insert() rejects the decoded
+// node if the version moved meanwhile, so a writer racing a decode can
+// never publish stale entries. Counters (hits/misses/invalidations) are relaxed atomics
 // whose totals aggregate exactly under concurrency, plus thread-local
 // tallies for exact per-query stats (same pattern as
 // TrajectoryIndex::ThreadNodeAccesses).

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <vector>
@@ -79,7 +80,7 @@ class PageFile {
   /// Allocates a fresh zeroed page and returns its id.
   PageId Allocate() {
     std::unique_lock lock(mu_);
-    pages_.emplace_back();
+    pages_.push_back(std::make_unique<Page>());
     return static_cast<PageId>(pages_.size() - 1);
   }
 
@@ -88,7 +89,7 @@ class PageFile {
     std::shared_lock lock(mu_);
     MST_CHECK(IsValidLocked(id));
     physical_reads_.fetch_add(1, std::memory_order_relaxed);
-    *out = pages_[static_cast<size_t>(id)];
+    *out = *pages_[static_cast<size_t>(id)];
   }
 
   /// Overwrites page `id`, counting one physical write. Concurrent writes to
@@ -98,7 +99,7 @@ class PageFile {
     std::shared_lock lock(mu_);
     MST_CHECK(IsValidLocked(id));
     physical_writes_.fetch_add(1, std::memory_order_relaxed);
-    pages_[static_cast<size_t>(id)] = page;
+    *pages_[static_cast<size_t>(id)] = page;
   }
 
   /// True iff `id` names an allocated page.
@@ -135,7 +136,10 @@ class PageFile {
   }
 
   mutable std::shared_mutex mu_;
-  std::vector<Page> pages_;
+  // One heap block per page rather than one contiguous array: growing the
+  // file never copies it or holds two copies at once, and the blocks of a
+  // destroyed index are reused exactly by the next one's.
+  std::vector<std::unique_ptr<Page>> pages_;
   std::atomic<int64_t> physical_reads_{0};
   std::atomic<int64_t> physical_writes_{0};
 };

@@ -25,10 +25,16 @@ struct GrowCost {
   }
 };
 
-GrowCost CostOf(const Mbb3& base, const Mbb3& add) {
+// CostOf with the base box's volume and margin supplied by the caller, for
+// loops that cost many boxes against one base.
+GrowCost CostOf(const Mbb3& base, double base_volume, double base_margin,
+                const Mbb3& add) {
   const Mbb3 u = Mbb3::Union(base, add);
-  return {u.Volume() - base.Volume(), u.Margin() - base.Margin(),
-          base.Volume()};
+  return {u.Volume() - base_volume, u.Margin() - base_margin, base_volume};
+}
+
+GrowCost CostOf(const Mbb3& base, const Mbb3& add) {
+  return CostOf(base, base.Volume(), base.Margin(), add);
 }
 
 // Volume of the intersection of two boxes (0 when disjoint). Degenerate
@@ -59,6 +65,13 @@ std::vector<int> QuadraticSplit(const std::vector<Mbb3>& boxes, int min_fill) {
   MST_CHECK(n >= 2);
   MST_CHECK(min_fill >= 1 && 2 * min_fill <= n);
 
+  std::vector<double> volume(boxes.size());
+  std::vector<double> margin(boxes.size());
+  for (int i = 0; i < n; ++i) {
+    volume[i] = boxes[i].Volume();
+    margin[i] = boxes[i].Margin();
+  }
+
   // PickSeeds: the pair wasting the most space if grouped together.
   int seed_a = 0;
   int seed_b = 1;
@@ -66,9 +79,8 @@ std::vector<int> QuadraticSplit(const std::vector<Mbb3>& boxes, int min_fill) {
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
       const Mbb3 u = Mbb3::Union(boxes[i], boxes[j]);
-      const double dead =
-          u.Volume() - boxes[i].Volume() - boxes[j].Volume() +
-          1e-9 * (u.Margin() - boxes[i].Margin() - boxes[j].Margin());
+      const double dead = u.Volume() - volume[i] - volume[j] +
+                          1e-9 * (u.Margin() - margin[i] - margin[j]);
       if (dead > worst) {
         worst = dead;
         seed_a = i;
@@ -83,6 +95,21 @@ std::vector<int> QuadraticSplit(const std::vector<Mbb3>& boxes, int min_fill) {
   Mbb3 cover[2] = {boxes[seed_a], boxes[seed_b]};
   int count[2] = {1, 1};
   int remaining = n - 2;
+
+  // cost[g][i]: CostOf(cover[g], boxes[i]) for every unassigned i. A cover
+  // changes only when its group takes an entry, so only that group's costs
+  // are recomputed then.
+  std::vector<GrowCost> cost[2] = {std::vector<GrowCost>(boxes.size()),
+                                   std::vector<GrowCost>(boxes.size())};
+  const auto recost = [&](int g) {
+    const double v = cover[g].Volume();
+    const double m = cover[g].Margin();
+    for (int i = 0; i < n; ++i) {
+      if (group[i] < 0) cost[g][i] = CostOf(cover[g], v, m, boxes[i]);
+    }
+  };
+  recost(0);
+  recost(1);
 
   while (remaining > 0) {
     // If one group needs every remaining entry to reach min_fill, take them.
@@ -104,33 +131,32 @@ std::vector<int> QuadraticSplit(const std::vector<Mbb3>& boxes, int min_fill) {
     // PickNext: the entry with the greatest preference between groups.
     int pick = -1;
     double best_diff = -1.0;
-    GrowCost pick_cost[2] = {};
     for (int i = 0; i < n; ++i) {
       if (group[i] >= 0) continue;
-      const GrowCost c0 = CostOf(cover[0], boxes[i]);
-      const GrowCost c1 = CostOf(cover[1], boxes[i]);
+      const GrowCost& c0 = cost[0][i];
+      const GrowCost& c1 = cost[1][i];
       const double diff = std::abs(c0.dvolume - c1.dvolume) +
                           1e-9 * std::abs(c0.dmargin - c1.dmargin);
       if (diff > best_diff) {
         best_diff = diff;
         pick = i;
-        pick_cost[0] = c0;
-        pick_cost[1] = c1;
       }
     }
     MST_DCHECK(pick >= 0);
     int g;
-    if (pick_cost[0] < pick_cost[1]) {
+    if (cost[0][pick] < cost[1][pick]) {
       g = 0;
-    } else if (pick_cost[1] < pick_cost[0]) {
+    } else if (cost[1][pick] < cost[0][pick]) {
       g = 1;
     } else {
       g = count[0] <= count[1] ? 0 : 1;
     }
     group[pick] = g;
+    const Mbb3 before = cover[g];
     cover[g].Expand(boxes[pick]);
     ++count[g];
     --remaining;
+    if (!(cover[g] == before)) recost(g);
   }
   return group;
 }
@@ -367,18 +393,20 @@ void RTree3D::BulkLoad(std::vector<LeafEntry> entries) {
   TileOrder(&entries,
             [](const LeafEntry& e) { return CenterOf(e.Bounds()); });
 
+  // Each packed node is complete when its inner session closes, which lets
+  // the arena evict it and stay within its bound.
+  const ArenaSession load(this);
+
   // Pack the leaf level.
   std::vector<InternalEntry> level_items;
   const size_t cap = static_cast<size_t>(IndexNode::kCapacity);
   for (size_t i = 0; i < entries.size(); i += cap) {
-    IndexNode leaf;
-    leaf.self = AllocateNode();
-    leaf.level = 0;
+    const ArenaSession one(this);
+    IndexNode& leaf = AllocateNode(0);
     leaf.leaves.assign(
         entries.begin() + static_cast<ptrdiff_t>(i),
         entries.begin() +
             static_cast<ptrdiff_t>(std::min(entries.size(), i + cap)));
-    WriteNode(leaf);
     level_items.push_back({leaf.Bounds(), leaf.self, 0});
   }
 
@@ -389,14 +417,12 @@ void RTree3D::BulkLoad(std::vector<LeafEntry> entries) {
               [](const InternalEntry& e) { return CenterOf(e.mbb); });
     std::vector<InternalEntry> next;
     for (size_t i = 0; i < level_items.size(); i += cap) {
-      IndexNode node;
-      node.self = AllocateNode();
-      node.level = level;
+      const ArenaSession one(this);
+      IndexNode& node = AllocateNode(level);
       node.internals.assign(
           level_items.begin() + static_cast<ptrdiff_t>(i),
           level_items.begin() +
               static_cast<ptrdiff_t>(std::min(level_items.size(), i + cap)));
-      WriteNode(node);
       next.push_back({node.Bounds(), node.self, 0});
     }
     level_items = std::move(next);
@@ -426,25 +452,26 @@ int RTree3D::ChooseSubtree(const IndexNode& node, const Mbb3& box) {
 
 void RTree3D::ExpandPath(const std::vector<Step>& path, const Mbb3& box) {
   for (auto it = path.rbegin(); it != path.rend(); ++it) {
-    IndexNode node = ReadNodeForUpdate(it->node);
-    node.internals[it->child_idx].mbb.Expand(box);
-    WriteNode(node);
+    MutableNode(it->node).internals[it->child_idx].mbb.Expand(box);
   }
 }
 
 void RTree3D::TightenPath(const std::vector<Step>& path) {
   for (auto it = path.rbegin(); it != path.rend(); ++it) {
-    IndexNode parent = ReadNodeForUpdate(it->node);
-    const IndexNode child =
-        ReadNodeForUpdate(parent.internals[it->child_idx].child);
-    parent.internals[it->child_idx].mbb = child.Bounds();
-    WriteNode(parent);
+    InternalEntry& e = MutableNode(it->node).internals[it->child_idx];
+    e.mbb = MutableNode(e.child).Bounds();
   }
 }
 
-void RTree3D::Insert(const LeafEntry& entry) {
+void RTree3D::InsertEntry(const LeafEntry& entry) {
+  if (empty()) {
+    IndexNode& leaf = AllocateNode(0);
+    leaf.leaves.push_back(entry);
+    set_root(leaf.self);
+    set_height(1);
+    return;
+  }
   if (variant_ == RTreeVariant::kRStar) {
-    NoteInsert(entry);
     RStarInsert(entry);
     return;
   }
@@ -452,34 +479,21 @@ void RTree3D::Insert(const LeafEntry& entry) {
 }
 
 void RTree3D::QuadraticInsert(const LeafEntry& entry) {
-  NoteInsert(entry);
   const Mbb3 box = entry.Bounds();
-
-  if (empty()) {
-    IndexNode leaf;
-    leaf.self = AllocateNode();
-    leaf.level = 0;
-    leaf.leaves.push_back(entry);
-    WriteNode(leaf);
-    set_root(leaf.self);
-    set_height(1);
-    return;
-  }
 
   // Descend to the best leaf, recording the path.
   std::vector<Step> path;
   PageId cur = root();
-  IndexNode node = ReadNodeForUpdate(cur);
-  while (!node.IsLeaf()) {
-    const int child = ChooseSubtree(node, box);
+  IndexNode* node = &MutableNode(cur);
+  while (!node->IsLeaf()) {
+    const int child = ChooseSubtree(*node, box);
     path.push_back({cur, child});
-    cur = node.internals[child].child;
-    node = ReadNodeForUpdate(cur);
+    cur = node->internals[child].child;
+    node = &MutableNode(cur);
   }
 
-  if (!node.IsFull()) {
-    node.leaves.push_back(entry);
-    WriteNode(node);
+  if (!node->IsFull()) {
+    node->leaves.push_back(entry);
     ExpandPath(path, box);
     return;
   }
@@ -487,24 +501,20 @@ void RTree3D::QuadraticInsert(const LeafEntry& entry) {
   // Leaf overflow: quadratic split.
   const int min_fill = std::max(
       1, static_cast<int>(IndexNode::kCapacity * kMinFillFraction));
-  std::vector<LeafEntry> all = node.leaves.ToVector();
+  std::vector<LeafEntry> all = node->leaves.ToVector();
   all.push_back(entry);
   std::vector<Mbb3> boxes;
   boxes.reserve(all.size());
   for (const LeafEntry& e : all) boxes.push_back(e.Bounds());
   const std::vector<int> split = QuadraticSplit(boxes, min_fill);
 
-  IndexNode right;
-  right.self = AllocateNode();
-  right.level = 0;
-  node.leaves.clear();
+  IndexNode& right = AllocateNode(0);
+  node->leaves.clear();
   for (size_t i = 0; i < all.size(); ++i) {
-    (split[i] == 0 ? node.leaves : right.leaves).push_back(all[i]);
+    (split[i] == 0 ? node->leaves : right.leaves).push_back(all[i]);
   }
-  WriteNode(node);
-  WriteNode(right);
 
-  Mbb3 left_box = node.Bounds();
+  Mbb3 left_box = node->Bounds();
   Mbb3 right_box = right.Bounds();
   PageId right_id = right.self;
   int split_level = 1;  // level of the node that must absorb `right_id`
@@ -513,11 +523,10 @@ void RTree3D::QuadraticInsert(const LeafEntry& entry) {
   while (!path.empty()) {
     const Step step = path.back();
     path.pop_back();
-    IndexNode parent = ReadNodeForUpdate(step.node);
+    IndexNode& parent = MutableNode(step.node);
     parent.internals[step.child_idx].mbb = left_box;
     if (!parent.IsFull()) {
       parent.internals.push_back({right_box, right_id, 0});
-      WriteNode(parent);
       // The subtree's union grew exactly by `box`; expand the ancestors.
       ExpandPath(path, box);
       return;
@@ -529,45 +538,31 @@ void RTree3D::QuadraticInsert(const LeafEntry& entry) {
     for (const InternalEntry& e : entries) eboxes.push_back(e.mbb);
     const std::vector<int> esplit = QuadraticSplit(eboxes, min_fill);
 
-    IndexNode sibling;
-    sibling.self = AllocateNode();
-    sibling.level = parent.level;
+    IndexNode& sibling = AllocateNode(parent.level);
     parent.internals.clear();
     for (size_t i = 0; i < entries.size(); ++i) {
       (esplit[i] == 0 ? parent.internals : sibling.internals)
           .push_back(entries[i]);
     }
-    WriteNode(parent);
-    WriteNode(sibling);
     left_box = parent.Bounds();
     right_box = sibling.Bounds();
     right_id = sibling.self;
     split_level = parent.level + 1;
   }
 
-  // The root itself split: grow the tree.
-  IndexNode new_root;
-  new_root.self = AllocateNode();
-  new_root.level = split_level;
+  GrowRoot(left_box, right_box, right_id, split_level);
+}
+
+void RTree3D::GrowRoot(const Mbb3& left_box, const Mbb3& right_box,
+                       PageId right_id, int level) {
+  IndexNode& new_root = AllocateNode(level);
   new_root.internals.push_back({left_box, root(), 0});
   new_root.internals.push_back({right_box, right_id, 0});
-  WriteNode(new_root);
   set_root(new_root.self);
   set_height(height() + 1);
 }
 
 void RTree3D::RStarInsert(const LeafEntry& entry) {
-  if (empty()) {
-    IndexNode leaf;
-    leaf.self = AllocateNode();
-    leaf.level = 0;
-    leaf.leaves.push_back(entry);
-    WriteNode(leaf);
-    set_root(leaf.self);
-    set_height(1);
-    return;
-  }
-
   // The FIFO work queue forced reinsertion refills, plus the once-per-level
   // overflow guard — both scoped to this one user-visible insert.
   std::vector<Pending> queue;
@@ -594,16 +589,17 @@ void RTree3D::RStarInsertPending(const Pending& pending,
   // above that, least volume enlargement — the existing GrowCost chain.
   std::vector<Step> path;
   PageId cur = root();
-  IndexNode node = ReadNodeForUpdate(cur);
-  MST_CHECK(node.level >= pending.target_level);
-  while (node.level > pending.target_level) {
-    const int child = node.level == 1
-                          ? ChooseSubtreeRStarIndex(node, pending.box)
-                          : ChooseSubtreeIndex(node, pending.box);
+  IndexNode* cur_node = &MutableNode(cur);
+  MST_CHECK(cur_node->level >= pending.target_level);
+  while (cur_node->level > pending.target_level) {
+    const int child = cur_node->level == 1
+                          ? ChooseSubtreeRStarIndex(*cur_node, pending.box)
+                          : ChooseSubtreeIndex(*cur_node, pending.box);
     path.push_back({cur, child});
-    cur = node.internals[child].child;
-    node = ReadNodeForUpdate(cur);
+    cur = cur_node->internals[child].child;
+    cur_node = &MutableNode(cur);
   }
+  IndexNode& node = *cur_node;
 
   if (!node.IsFull()) {
     if (node.IsLeaf()) {
@@ -611,7 +607,6 @@ void RTree3D::RStarInsertPending(const Pending& pending,
     } else {
       node.internals.push_back(pending.internal);
     }
-    WriteNode(node);
     ExpandPath(path, pending.box);
     return;
   }
@@ -687,7 +682,6 @@ void RTree3D::RStarInsertPending(const Pending& pending,
         if (!gone[i]) node.internals.push_back(internal_all[i]);
       }
     }
-    WriteNode(node);
     // The node shrank; ancestors need exact recomputation, not expansion.
     TightenPath(path);
 
@@ -710,9 +704,7 @@ void RTree3D::RStarInsertPending(const Pending& pending,
 
   // R* split at this level.
   const std::vector<int> split = RStarSplit(boxes, min_fill, time_weight_);
-  IndexNode right;
-  right.self = AllocateNode();
-  right.level = level;
+  IndexNode& right = AllocateNode(level);
   if (node.IsLeaf()) {
     node.leaves.clear();
     for (size_t i = 0; i < leaf_all.size(); ++i) {
@@ -725,8 +717,6 @@ void RTree3D::RStarInsertPending(const Pending& pending,
           .push_back(internal_all[i]);
     }
   }
-  WriteNode(node);
-  WriteNode(right);
 
   Mbb3 left_box = node.Bounds();
   Mbb3 right_box = right.Bounds();
@@ -739,12 +729,11 @@ void RTree3D::RStarInsertPending(const Pending& pending,
   while (!path.empty()) {
     const Step step = path.back();
     path.pop_back();
-    IndexNode parent = ReadNodeForUpdate(step.node);
+    IndexNode& parent = MutableNode(step.node);
     parent.internals[step.child_idx].mbb = left_box;
     const InternalEntry sibling_entry{right_box, right_id, 0};
     if (!parent.IsFull()) {
       parent.internals.push_back(sibling_entry);
-      WriteNode(parent);
       TightenPath(path);
       return;
     }
@@ -800,7 +789,6 @@ void RTree3D::RStarInsertPending(const Pending& pending,
       for (size_t i = 0; i < entries.size(); ++i) {
         if (!gone[i]) parent.internals.push_back(entries[i]);
       }
-      WriteNode(parent);
       TightenPath(path);
       for (int k = evict - 1; k >= 0; --k) {
         const size_t i = static_cast<size_t>(order[static_cast<size_t>(k)]);
@@ -815,31 +803,19 @@ void RTree3D::RStarInsertPending(const Pending& pending,
 
     const std::vector<int> esplit =
         RStarSplit(eboxes, min_fill, time_weight_);
-    IndexNode sibling;
-    sibling.self = AllocateNode();
-    sibling.level = plevel;
+    IndexNode& sibling = AllocateNode(plevel);
     parent.internals.clear();
     for (size_t i = 0; i < entries.size(); ++i) {
       (esplit[i] == 0 ? parent.internals : sibling.internals)
           .push_back(entries[i]);
     }
-    WriteNode(parent);
-    WriteNode(sibling);
     left_box = parent.Bounds();
     right_box = sibling.Bounds();
     right_id = sibling.self;
     split_level = plevel + 1;
   }
 
-  // The root itself split: grow the tree.
-  IndexNode new_root;
-  new_root.self = AllocateNode();
-  new_root.level = split_level;
-  new_root.internals.push_back({left_box, root(), 0});
-  new_root.internals.push_back({right_box, right_id, 0});
-  WriteNode(new_root);
-  set_root(new_root.self);
-  set_height(height() + 1);
+  GrowRoot(left_box, right_box, right_id, split_level);
 }
 
 }  // namespace mst

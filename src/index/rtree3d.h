@@ -32,8 +32,6 @@ class RTree3D : public TrajectoryIndex {
 
   explicit RTree3D(const Options& options = Options());
 
-  void Insert(const LeafEntry& entry) override;
-
   std::string name() const override { return "3D R-tree"; }
 
   /// Sort-Tile-Recursive bulk loading (Leutenegger et al.): packs all
@@ -49,6 +47,9 @@ class RTree3D : public TrajectoryIndex {
   /// delta snapshots and merged mains from entry vectors). The vector is
   /// consumed (reordered in place by the tiling sorts).
   void BulkLoad(std::vector<LeafEntry> entries);
+
+ protected:
+  void InsertEntry(const LeafEntry& entry) override;
 
  private:
   struct Step {
@@ -74,6 +75,11 @@ class RTree3D : public TrajectoryIndex {
 
   // Guttman insertion: ChooseSubtree descent + quadratic split propagation.
   void QuadraticInsert(const LeafEntry& entry);
+
+  // The root itself split: grows the tree by a new root at `level` over the
+  // old root (bounds `left_box`) and its new sibling `right_id`.
+  void GrowRoot(const Mbb3& left_box, const Mbb3& right_box, PageId right_id,
+                int level);
 
   // R* insertion of one leaf entry: drives the Pending queue that forced
   // reinsertion refills, with the once-per-level overflow guard scoped to

@@ -52,38 +52,30 @@ void STRTree::FixTailsAfterLeafSplit(const IndexNode& a, const IndexNode& b,
   }
 }
 
-PageId STRTree::SplitInternal(IndexNode* node, const InternalEntry& extra) {
-  std::vector<InternalEntry> entries = node->internals;
+IndexNode& STRTree::SplitInternal(IndexNode& node,
+                                  const InternalEntry& extra) {
+  std::vector<InternalEntry> entries = node.internals;
   entries.push_back(extra);
   std::vector<Mbb3> boxes;
   boxes.reserve(entries.size());
   for (const InternalEntry& e : entries) boxes.push_back(e.mbb);
   const std::vector<int> split = QuadraticSplit(boxes, kMinFill);
 
-  IndexNode sibling;
-  sibling.self = AllocateNode();
-  sibling.level = node->level;
-  sibling.parent = node->parent;
-  node->internals.clear();
+  IndexNode& sibling = AllocateNode(node.level);
+  sibling.parent = node.parent;
+  node.internals.clear();
   for (size_t i = 0; i < entries.size(); ++i) {
-    (split[i] == 0 ? node->internals : sibling.internals)
+    (split[i] == 0 ? node.internals : sibling.internals)
         .push_back(entries[i]);
   }
-  WriteNode(*node);
-  WriteNode(sibling);
   // Rewire the parent pointers of every child of both nodes (children moved
   // to the sibling, and `extra.child` whose parent was never set).
-  for (const IndexNode* parent :
-       std::initializer_list<const IndexNode*>{node, &sibling}) {
+  for (const IndexNode* parent : {&node, &sibling}) {
     for (const InternalEntry& e : parent->internals) {
-      IndexNode child = ReadNodeForUpdate(e.child);
-      if (child.parent != parent->self) {
-        child.parent = parent->self;
-        WriteNode(child);
-      }
+      MutableNode(e.child).parent = parent->self;
     }
   }
-  return sibling.self;
+  return sibling;
 }
 
 void STRTree::AttachSplit(PageId left_id, const Mbb3& left_box,
@@ -98,24 +90,18 @@ void STRTree::AttachSplit(PageId left_id, const Mbb3& left_box,
   while (true) {
     if (parent == kInvalidPageId) {
       // The split node was the root: grow the tree.
-      IndexNode left_node = ReadNodeForUpdate(left);
-      IndexNode new_root;
-      new_root.self = AllocateNode();
-      new_root.level = left_node.level + 1;
+      IndexNode& left_node = MutableNode(left);
+      IndexNode& new_root = AllocateNode(left_node.level + 1);
       new_root.internals.push_back({lbox, left, 0});
       new_root.internals.push_back({rbox, right, 0});
-      WriteNode(new_root);
       left_node.parent = new_root.self;
-      WriteNode(left_node);
-      IndexNode right_node = ReadNodeForUpdate(right);
-      right_node.parent = new_root.self;
-      WriteNode(right_node);
+      MutableNode(right).parent = new_root.self;
       set_root(new_root.self);
       set_height(height() + 1);
       return;
     }
 
-    IndexNode pnode = ReadNodeForUpdate(parent);
+    IndexNode& pnode = MutableNode(parent);
     bool found = false;
     for (InternalEntry& e : pnode.internals) {
       if (e.child == left) {
@@ -127,25 +113,21 @@ void STRTree::AttachSplit(PageId left_id, const Mbb3& left_box,
     MST_CHECK_MSG(found, "split child missing from its parent");
     if (!pnode.IsFull()) {
       pnode.internals.push_back({rbox, right, 0});
-      WriteNode(pnode);
-      IndexNode right_node = ReadNodeForUpdate(right);
-      right_node.parent = parent;
-      WriteNode(right_node);
+      MutableNode(right).parent = parent;
       ExpandAncestorsViaParents(parent, box_add);
       return;
     }
     // Parent overflows in turn.
-    const PageId sibling = SplitInternal(&pnode, {rbox, right, 0});
-    const IndexNode sibling_node = ReadNodeForUpdate(sibling);
+    const IndexNode& sibling = SplitInternal(pnode, {rbox, right, 0});
     lbox = pnode.Bounds();
-    rbox = sibling_node.Bounds();
+    rbox = sibling.Bounds();
     left = pnode.self;
-    right = sibling;
+    right = sibling.self;
     parent = pnode.parent;
   }
 }
 
-PageId STRTree::PreservationOverflow(IndexNode leaf, const LeafEntry& entry) {
+PageId STRTree::PreservationOverflow(IndexNode& leaf, const LeafEntry& entry) {
   const Mbb3 box = entry.Bounds();
 
   // Partition the full leaf's entries into the appending trajectory's run
@@ -156,16 +138,13 @@ PageId STRTree::PreservationOverflow(IndexNode leaf, const LeafEntry& entry) {
     (e.traj_id == entry.traj_id ? mine : others).push_back(e);
   }
 
-  IndexNode fresh;
-  fresh.self = AllocateNode();
-  fresh.level = 0;
+  IndexNode& fresh = AllocateNode(0);
   fresh.parent = leaf.parent;
   if (others.empty()) {
     // The leaf is already reserved for this trajectory and full: leave it
     // densely packed and continue the trajectory in a fresh leaf (the same
     // move the TB-tree makes).
     fresh.leaves.push_back(entry);
-    WriteNode(fresh);
     AttachSplit(leaf.self, leaf.Bounds(), fresh.self, box, leaf.parent, box);
     return fresh.self;
   }
@@ -179,8 +158,6 @@ PageId STRTree::PreservationOverflow(IndexNode leaf, const LeafEntry& entry) {
   // segment the reserved leaf holds at most kCapacity entries.
   MST_CHECK(fresh.Count() <= IndexNode::kCapacity);
   leaf.leaves = std::move(others);
-  WriteNode(leaf);
-  WriteNode(fresh);
   FixTailsAfterLeafSplit(leaf, fresh, leaf.self);
   // The old leaf's MBB may have shrunk; AttachSplit installs its exact new
   // box in the parent, and `box` expands the surviving ancestors.
@@ -194,11 +171,8 @@ void STRTree::StandardInsert(const LeafEntry& entry) {
   Chain& chain = chains_[entry.traj_id];
 
   if (empty()) {
-    IndexNode leaf;
-    leaf.self = AllocateNode();
-    leaf.level = 0;
+    IndexNode& leaf = AllocateNode(0);
     leaf.leaves.push_back(entry);
-    WriteNode(leaf);
     set_root(leaf.self);
     set_height(1);
     chain.tail = leaf.self;
@@ -207,43 +181,36 @@ void STRTree::StandardInsert(const LeafEntry& entry) {
   }
 
   // Plain R-tree descent (no path stack needed: parent pointers exist).
-  PageId cur = root();
-  IndexNode node = ReadNodeForUpdate(cur);
-  while (!node.IsLeaf()) {
-    cur = node.internals[static_cast<size_t>(
-                             ChooseSubtreeIndex(node, box))]
-              .child;
-    node = ReadNodeForUpdate(cur);
+  IndexNode* node = &MutableNode(root());
+  while (!node->IsLeaf()) {
+    node = &MutableNode(node->internals[static_cast<size_t>(
+                                            ChooseSubtreeIndex(*node, box))]
+                            .child);
   }
 
   PageId entry_leaf;
-  if (!node.IsFull()) {
-    node.leaves.push_back(entry);
-    WriteNode(node);
-    ExpandAncestorsViaParents(node.self, box);
-    entry_leaf = node.self;
+  if (!node->IsFull()) {
+    node->leaves.push_back(entry);
+    ExpandAncestorsViaParents(node->self, box);
+    entry_leaf = node->self;
   } else {
-    std::vector<LeafEntry> all = node.leaves.ToVector();
+    std::vector<LeafEntry> all = node->leaves.ToVector();
     all.push_back(entry);
     std::vector<Mbb3> boxes;
     boxes.reserve(all.size());
     for (const LeafEntry& e : all) boxes.push_back(e.Bounds());
     const std::vector<int> split = QuadraticSplit(boxes, kMinFill);
 
-    IndexNode right;
-    right.self = AllocateNode();
-    right.level = 0;
-    right.parent = node.parent;
-    node.leaves.clear();
+    IndexNode& right = AllocateNode(0);
+    right.parent = node->parent;
+    node->leaves.clear();
     for (size_t i = 0; i < all.size(); ++i) {
-      (split[i] == 0 ? node.leaves : right.leaves).push_back(all[i]);
+      (split[i] == 0 ? node->leaves : right.leaves).push_back(all[i]);
     }
-    WriteNode(node);
-    WriteNode(right);
-    FixTailsAfterLeafSplit(node, right, node.self);
-    entry_leaf = split.back() == 0 ? node.self : right.self;
-    AttachSplit(node.self, node.Bounds(), right.self, right.Bounds(),
-                node.parent, box);
+    FixTailsAfterLeafSplit(*node, right, node->self);
+    entry_leaf = split.back() == 0 ? node->self : right.self;
+    AttachSplit(node->self, node->Bounds(), right.self, right.Bounds(),
+                node->parent, box);
   }
 
   if (chain.tail == kInvalidPageId || entry.t1 >= chain.last_t1) {
@@ -252,18 +219,16 @@ void STRTree::StandardInsert(const LeafEntry& entry) {
   }
 }
 
-void STRTree::Insert(const LeafEntry& entry) {
-  NoteInsert(entry);
+void STRTree::InsertEntry(const LeafEntry& entry) {
   const Mbb3 box = entry.Bounds();
   Chain& chain = chains_[entry.traj_id];
 
   // Trajectory preservation: append next to the predecessor segment.
   if (chain.tail != kInvalidPageId && entry.t0 >= chain.last_t1) {
-    IndexNode leaf = ReadNodeForUpdate(chain.tail);
+    IndexNode& leaf = MutableNode(chain.tail);
     MST_DCHECK(leaf.IsLeaf());
     if (!leaf.IsFull()) {
       leaf.leaves.push_back(entry);
-      WriteNode(leaf);
       ExpandAncestorsViaParents(leaf.self, box);
       chain.tail = leaf.self;
       chain.last_t1 = entry.t1;
@@ -271,7 +236,7 @@ void STRTree::Insert(const LeafEntry& entry) {
     }
     // Full predecessor leaf: reserve a leaf for the trajectory (or open a
     // fresh one if the leaf was already reserved) and continue there.
-    chain.tail = PreservationOverflow(std::move(leaf), entry);
+    chain.tail = PreservationOverflow(leaf, entry);
     chain.last_t1 = entry.t1;
     return;
   }

@@ -32,8 +32,6 @@ class STRTree : public TrajectoryIndex {
  public:
   explicit STRTree(const Options& options = Options());
 
-  void Insert(const LeafEntry& entry) override;
-
   std::string name() const override { return "STR-tree"; }
 
   /// Leaf currently holding the trajectory's most recent segment;
@@ -45,6 +43,9 @@ class STRTree : public TrajectoryIndex {
   /// O(nodes); for tests and ablations.
   double PreservationRatio() const;
 
+ protected:
+  void InsertEntry(const LeafEntry& entry) override;
+
  private:
   // Inserts `entry` along the standard R-tree descent path (ChooseSubtree +
   // quadratic splits), keeping parent pointers and the tail-leaf map
@@ -55,7 +56,7 @@ class STRTree : public TrajectoryIndex {
   // extracts the trajectory's segments into a leaf reserved for it (shared
   // leaf) or opens a fresh leaf for the trajectory (already-dedicated
   // leaf). Returns the id of the leaf that received `entry`.
-  PageId PreservationOverflow(IndexNode leaf, const LeafEntry& entry);
+  PageId PreservationOverflow(IndexNode& leaf, const LeafEntry& entry);
 
   // Attaches a freshly created node (`child`, bounds `box`) under `parent_id`
   // (the parent of the node it was split from), propagating overflow splits
@@ -66,9 +67,8 @@ class STRTree : public TrajectoryIndex {
                    const Mbb3& box_add);
 
   // Quadratic split of internal node `node` absorbing `extra`; fixes the
-  // parent pointers of moved children. Returns the new sibling's id and
-  // writes both nodes.
-  PageId SplitInternal(IndexNode* node, const InternalEntry& extra);
+  // parent pointers of moved children. Returns the new sibling.
+  IndexNode& SplitInternal(IndexNode& node, const InternalEntry& extra);
 
   // Re-points tail-leaf map entries after leaf `old_leaf` redistributed its
   // entries between `a` and `b`.

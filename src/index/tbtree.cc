@@ -28,19 +28,12 @@ void TBTree::AttachRight(PageId child, const Mbb3& box, int child_level) {
 
   if (parent_level > root_level) {
     // Grow the tree: new root adopting the old root and the new child.
-    IndexNode old_root = ReadNodeForUpdate(root());
-    IndexNode new_root;
-    new_root.self = AllocateNode();
-    new_root.level = parent_level;
+    IndexNode& old_root = MutableNode(root());
+    IndexNode& new_root = AllocateNode(parent_level);
     new_root.internals.push_back({old_root.Bounds(), old_root.self, 0});
     new_root.internals.push_back({box, child, 0});
-    WriteNode(new_root);
-
     old_root.parent = new_root.self;
-    WriteNode(old_root);
-    IndexNode child_node = ReadNodeForUpdate(child);
-    child_node.parent = new_root.self;
-    WriteNode(child_node);
+    MutableNode(child).parent = new_root.self;
 
     set_root(new_root.self);
     set_height(height() + 1);
@@ -54,13 +47,10 @@ void TBTree::AttachRight(PageId child, const Mbb3& box, int child_level) {
 
   const PageId parent_id = rightmost_[parent_level];
   MST_CHECK(parent_id != kInvalidPageId);
-  IndexNode parent = ReadNodeForUpdate(parent_id);
+  IndexNode& parent = MutableNode(parent_id);
   if (!parent.IsFull()) {
     parent.internals.push_back({box, child, 0});
-    WriteNode(parent);
-    IndexNode child_node = ReadNodeForUpdate(child);
-    child_node.parent = parent_id;
-    WriteNode(child_node);
+    MutableNode(child).parent = parent_id;
     rightmost_[child_level] = child;
     ExpandAncestors(parent_id, box);
     return;
@@ -68,21 +58,15 @@ void TBTree::AttachRight(PageId child, const Mbb3& box, int child_level) {
 
   // Rightmost parent is full: open a fresh rightmost node at parent_level
   // holding just the new child, and attach it one level up.
-  IndexNode fresh;
-  fresh.self = AllocateNode();
-  fresh.level = parent_level;
+  IndexNode& fresh = AllocateNode(parent_level);
   fresh.internals.push_back({box, child, 0});
-  WriteNode(fresh);
-  IndexNode child_node = ReadNodeForUpdate(child);
-  child_node.parent = fresh.self;
-  WriteNode(child_node);
+  MutableNode(child).parent = fresh.self;
   rightmost_[parent_level] = fresh.self;
   rightmost_[child_level] = child;
   AttachRight(fresh.self, box, parent_level);
 }
 
-void TBTree::Insert(const LeafEntry& entry) {
-  NoteInsert(entry);
+void TBTree::InsertEntry(const LeafEntry& entry) {
   const Mbb3 box = entry.Bounds();
 
   Chain& chain = chains_[entry.traj_id];
@@ -93,27 +77,21 @@ void TBTree::Insert(const LeafEntry& entry) {
   chain.last_t1 = entry.t1;
 
   if (chain.tail != kInvalidPageId) {
-    IndexNode tail = ReadNodeForUpdate(chain.tail);
+    IndexNode& tail = MutableNode(chain.tail);
     if (!tail.IsFull()) {
       tail.leaves.push_back(entry);
-      WriteNode(tail);
       ExpandAncestors(chain.tail, box);
       return;
     }
   }
 
   // Need a fresh leaf for this trajectory.
-  IndexNode leaf;
-  leaf.self = AllocateNode();
-  leaf.level = 0;
+  IndexNode& leaf = AllocateNode(0);
   leaf.leaves.push_back(entry);
   leaf.prev_leaf = chain.tail;
-  WriteNode(leaf);
 
   if (chain.tail != kInvalidPageId) {
-    IndexNode old_tail = ReadNodeForUpdate(chain.tail);
-    old_tail.next_leaf = leaf.self;
-    WriteNode(old_tail);
+    MutableNode(chain.tail).next_leaf = leaf.self;
   } else {
     chain.head = leaf.self;
   }

@@ -23,10 +23,6 @@ class TBTree : public TrajectoryIndex {
  public:
   explicit TBTree(const Options& options = Options());
 
-  /// Appends a segment. Segments of one trajectory must arrive in temporal
-  /// order (checked), which is how a MOD receives them.
-  void Insert(const LeafEntry& entry) override;
-
   std::string name() const override { return "TB-tree"; }
 
   /// First leaf page of the trajectory's chain; kInvalidPageId if unknown.
@@ -48,6 +44,11 @@ class TBTree : public TrajectoryIndex {
   /// TB-specific structural checks (single-trajectory leaves, chain
   /// consistency, parent pointers). Aborts on violation; for tests.
   void CheckTBInvariants() const;
+
+ protected:
+  /// Appends a segment. Segments of one trajectory must arrive in temporal
+  /// order (checked), which is how a MOD receives them.
+  void InsertEntry(const LeafEntry& entry) override;
 
  private:
   // Attaches node `child` (with bounds `box`, at tree level `child_level`)

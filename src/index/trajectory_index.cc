@@ -24,6 +24,12 @@ TrajectoryIndex::TrajectoryIndex(const Options& options)
 
 TrajectoryIndex::~TrajectoryIndex() = default;
 
+void TrajectoryIndex::Insert(const LeafEntry& entry) {
+  const ArenaSession session(this);
+  NoteInsert(entry);
+  InsertEntry(entry);
+}
+
 void TrajectoryIndex::BuildFrom(const TrajectoryStore& store) {
   // Global temporal arrival order: all objects move simultaneously, so their
   // segments reach the MOD interleaved by segment start time.
@@ -47,6 +53,7 @@ void TrajectoryIndex::BuildFrom(const TrajectoryStore& store) {
               if (a.traj != b.traj) return a.traj < b.traj;
               return a.seg < b.seg;
             });
+  const ArenaSession session(this);
   for (const Pending& p : arrivals) {
     const Trajectory& t = trajs[p.traj];
     Insert(LeafEntry::Of(t.id(), t.sample(p.seg), t.sample(p.seg + 1)));
@@ -75,31 +82,73 @@ TrajectoryIndex::LeafPageRead TrajectoryIndex::ReadLeafColumns(
   return out;
 }
 
-IndexNode TrajectoryIndex::ReadNodeForUpdate(PageId id) {
-  const PageGuard guard = buffer_.Pin(id);
-  return IndexNode::Decode(*guard, id);
+TrajectoryIndex::ArenaSession::ArenaSession(TrajectoryIndex* index)
+    : index_(index) {
+  // Pages are about to change behind the buffer's back: write back and drop
+  // its frames so no stale copy survives the session.
+  if (index_->arena_depth_++ == 0) index_->buffer_.Clear();
 }
 
-void TrajectoryIndex::WriteNode(const IndexNode& node) {
-  MST_DCHECK(node.self != kInvalidPageId);
-  {
-    PageGuard guard = buffer_.PinMutable(node.self);
-    node.EncodeTo(guard.mutable_page());
+TrajectoryIndex::ArenaSession::~ArenaSession() {
+  const bool outermost = --index_->arena_depth_ == 0;
+  index_->TrimArena(outermost ? 0 : index_->buffer_.capacity());
+}
+
+IndexNode& TrajectoryIndex::MutableNode(PageId id) {
+  MST_CHECK_MSG(arena_depth_ > 0, "node staged outside an arena session");
+  const auto slot = static_cast<size_t>(id);
+  if (slot >= arena_pos_.size()) arena_pos_.resize(slot + 1, arena_.end());
+  auto& pos = arena_pos_[slot];
+  if (pos == arena_.end()) {
+    file_.Read(id, &arena_page_);
+    arena_.push_front(IndexNode::Decode(arena_page_, id));
+    pos = arena_.begin();
+  } else if (pos != arena_.begin()) {
+    arena_.splice(arena_.begin(), arena_, pos);
   }
-  // Bump the page version after the bytes change: a concurrent decode of
-  // the old bytes observed the old version and will fail to publish.
-  node_cache_.Invalidate(node.self);
+  return *pos;
 }
 
-PageId TrajectoryIndex::AllocateNode() { return buffer_.AllocatePage(); }
+IndexNode& TrajectoryIndex::AllocateNode(int32_t level) {
+  MST_CHECK_MSG(arena_depth_ > 0, "node staged outside an arena session");
+  const PageId id = file_.Allocate();
+  const auto slot = static_cast<size_t>(id);
+  if (slot >= arena_pos_.size()) arena_pos_.resize(slot + 1, arena_.end());
+  IndexNode& node = arena_.emplace_front();
+  node.self = id;
+  node.level = level;
+  arena_pos_[slot] = arena_.begin();
+  return node;
+}
+
+void TrajectoryIndex::TrimArena(size_t limit) {
+  while (arena_.size() > limit) {
+    const IndexNode& node = arena_.back();
+    if (arena_depth_ == 0) {
+      // No session is open any more: leave the pages in the buffer, as warm
+      // as a build that wrote through it, for the readers that come next.
+      PageGuard guard = buffer_.PinForOverwrite(node.self);
+      node.EncodeTo(guard.mutable_page());
+    } else {
+      // Mid-session the emptied buffer is bypassed, so the arena takes its
+      // place rather than adding to it.
+      node.EncodeTo(&arena_page_);
+      file_.Write(node.self, arena_page_);
+    }
+    // Bump the page version after the bytes change: a decode of the old
+    // bytes observed the old version and will fail to publish.
+    node_cache_.Invalidate(node.self);
+    arena_pos_[static_cast<size_t>(node.self)] = arena_.end();
+    arena_.pop_back();
+  }
+}
 
 void TrajectoryIndex::ExpandAncestorsViaParents(PageId node_id,
                                                 const Mbb3& box) {
-  IndexNode node = ReadNodeForUpdate(node_id);
   PageId cur = node_id;
-  PageId parent_id = node.parent;
+  PageId parent_id = MutableNode(node_id).parent;
   while (parent_id != kInvalidPageId) {
-    IndexNode parent = ReadNodeForUpdate(parent_id);
+    IndexNode& parent = MutableNode(parent_id);
     bool found = false;
     for (InternalEntry& e : parent.internals) {
       if (e.child == cur) {
@@ -109,7 +158,6 @@ void TrajectoryIndex::ExpandAncestorsViaParents(PageId node_id,
       }
     }
     MST_CHECK_MSG(found, "broken parent pointer");
-    WriteNode(parent);
     cur = parent_id;
     parent_id = parent.parent;
   }
@@ -131,7 +179,7 @@ void TrajectoryIndex::NoteInsert(const LeafEntry& entry) {
   ++entry_count_;
   max_speed_ = std::max(max_speed_, entry.Speed());
   // Bump the trajectory's write version so cross-query cached DISSIM values
-  // for it can never be served again (cf. WriteNode → NodeCache::Invalidate
+  // for it can never be served again (cf. TrimArena → NodeCache::Invalidate
   // for pages).
   TrajectoryVersionShard& shard = VersionShardFor(entry.traj_id);
   std::lock_guard<std::mutex> lock(shard.mu);

@@ -8,6 +8,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -42,10 +43,13 @@ enum class RTreeVariant : uint8_t {
 /// segment, exactly as in the paper's setup.
 class TrajectoryIndex {
  public:
-  /// Construction-time knobs. `build_buffer_pages` is the cache used while
-  /// building; ConfigurePaperBuffer() later shrinks it to the experiment
-  /// setting (10 % of the index, max 1000 pages). `node_cache_nodes` sizes
-  /// the decoded-node cache above the page buffer (0 disables it; it is an
+  /// Construction-time knobs. `build_buffer_pages` is the page buffer's
+  /// capacity until ConfigurePaperBuffer() shrinks it to the experiment
+  /// setting (10 % of the index, max 1000 pages). The buffer's capacity
+  /// also bounds the decoded-node arena that inserts and bulk loads stage
+  /// nodes in (see ArenaSession): the arena replaces the buffer while a
+  /// build runs, so a build holds at most that many pages' worth of nodes.
+  /// `node_cache_nodes` sizes the decoded-node cache above the page buffer (0 disables it; it is an
   /// engineering layer, not part of the paper's I/O model — logical node
   /// accesses are counted identically with it on or off).
   struct Options {
@@ -71,8 +75,12 @@ class TrajectoryIndex {
   TrajectoryIndex(const TrajectoryIndex&) = delete;
   TrajectoryIndex& operator=(const TrajectoryIndex&) = delete;
 
-  /// Inserts one trajectory segment.
-  virtual void Insert(const LeafEntry& entry) = 0;
+  /// Inserts one trajectory segment: records it (entry count, max speed,
+  /// write version) and places it by the backend's policy (InsertEntry)
+  /// inside an arena session, so the touched nodes reach their pages once,
+  /// when the outermost session closes. Inserts must not run concurrently
+  /// with each other or with readers.
+  void Insert(const LeafEntry& entry);
 
   /// Short human-readable name ("3D R-tree", "TB-tree").
   virtual std::string name() const = 0;
@@ -94,7 +102,8 @@ class TrajectoryIndex {
   /// Inserts every segment of every trajectory in `store`, in temporal order
   /// per trajectory, trajectories interleaved round-robin as produced by
   /// concurrently moving objects (the realistic MOD arrival order, which the
-  /// TB-tree's append policy is designed for).
+  /// TB-tree's append policy is designed for). One arena session spans the
+  /// whole build, so a node stays decoded across the inserts that touch it.
   void BuildFrom(const TrajectoryStore& store);
 
   /// Root page id; kInvalidPageId while the index is empty.
@@ -186,23 +195,50 @@ class TrajectoryIndex {
  protected:
   explicit TrajectoryIndex(const Options& options);
 
-  /// Decodes a node for modification; changes must be stored via WriteNode.
-  IndexNode ReadNodeForUpdate(PageId id);
+  /// RAII session on the decoded-node arena, the staging area every insert
+  /// path and the bulk loader mutate nodes in. Sessions nest. The outermost
+  /// one empties the page buffer on entry (the arena takes its place and
+  /// talks to the page file directly) and, on exit, encodes every staged
+  /// node into its page in the buffer. An inner session's exit trims the
+  /// arena back to the buffer's capacity, evicting least-recently-used
+  /// nodes to the page file; references from MutableNode/AllocateNode
+  /// therefore stay valid until the innermost session open when they were
+  /// obtained closes.
+  class ArenaSession {
+   public:
+    explicit ArenaSession(TrajectoryIndex* index);
+    ~ArenaSession();
+    ArenaSession(const ArenaSession&) = delete;
+    ArenaSession& operator=(const ArenaSession&) = delete;
 
-  /// Serializes `node` into its page (marks the frame dirty).
-  void WriteNode(const IndexNode& node);
+   private:
+    TrajectoryIndex* index_;
+  };
+
+  /// Places one segment by the backend's insertion policy. Runs inside an
+  /// open arena session, after NoteInsert; every node it reads or writes
+  /// goes through MutableNode/AllocateNode.
+  virtual void InsertEntry(const LeafEntry& entry) = 0;
+
+  /// The staged node of page `id`, decoded from the page file on first
+  /// touch. Changes made through the reference reach the page when the node
+  /// leaves the arena. Requires an open session.
+  IndexNode& MutableNode(PageId id);
+
+  /// Allocates a fresh page and stages an empty node of `level` for it.
+  /// Requires an open session.
+  IndexNode& AllocateNode(int32_t level);
 
   /// Expands ancestor routing MBBs by `box`, starting from `node`'s entry in
   /// its parent and following parent pointers to the root. Only valid for
   /// index variants that maintain parent pointers (TB-tree, STR-tree).
   void ExpandAncestorsViaParents(PageId node, const Mbb3& box);
 
-  /// Allocates a fresh node page.
-  PageId AllocateNode();
-
   /// Bookkeeping hooks for subclasses.
   void set_root(PageId root) { root_ = root; }
   void set_height(int height) { height_ = height; }
+  /// Records one segment in the aggregate stats and bumps its trajectory's
+  /// write version (Insert does this; the bulk loader calls it directly).
   void NoteInsert(const LeafEntry& entry);
 
   /// Restores aggregate counters when deserializing an index from disk.
@@ -229,6 +265,11 @@ class TrajectoryIndex {
 
   TrajectoryVersionShard& VersionShardFor(TrajectoryId id) const;
 
+  // Encodes staged nodes, least recently used first, until at most `limit`
+  // remain staged: into the page file while a session is open, into the
+  // page buffer once the outermost one has closed.
+  void TrimArena(size_t limit);
+
   mutable PageFile file_;
   mutable BufferManager buffer_;
   mutable NodeCache node_cache_;
@@ -239,6 +280,15 @@ class TrajectoryIndex {
   mutable std::atomic<int64_t> node_accesses_{0};
   mutable std::array<TrajectoryVersionShard, kTrajectoryVersionShards>
       traj_versions_;
+
+  // The decoded-node arena: staged nodes, most recently used first (list
+  // nodes never move, so references survive other nodes' staging), the
+  // position of each staged page indexed by page id (arena_.end() when not
+  // staged), the open-session depth, and a scratch page for the codec.
+  std::list<IndexNode> arena_;
+  std::vector<std::list<IndexNode>::iterator> arena_pos_;
+  int arena_depth_ = 0;
+  Page arena_page_;
 };
 
 }  // namespace mst

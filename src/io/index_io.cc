@@ -38,10 +38,6 @@ class LoadedIndex : public TrajectoryIndex {
   LoadedIndex(const Options& options, std::string name)
       : TrajectoryIndex(options), name_(std::move(name)) {}
 
-  void Insert(const LeafEntry&) override {
-    MST_CHECK_MSG(false, "a loaded index is read-only");
-  }
-
   std::string name() const override { return name_; }
 
   void Restore(const Header& header, const std::vector<Page>& pages) {
@@ -54,6 +50,11 @@ class LoadedIndex : public TrajectoryIndex {
     set_root(header.root);
     set_height(header.height);
     RestoreStats(header.entry_count, header.max_speed);
+  }
+
+ protected:
+  void InsertEntry(const LeafEntry&) override {
+    MST_CHECK_MSG(false, "a loaded index is read-only");
   }
 
  private:

@@ -209,6 +209,36 @@ TEST(NodeCodecRandomTest, ClearedAndRefilledLeafEncodesLikeFresh) {
   EXPECT_EQ(a.bytes, b.bytes);
 }
 
+// Internal pages zero their unused tail like leaf pages, so a page that
+// held a full node before a split carries none of those entries after it.
+TEST(NodeCodecRandomTest, InternalEncodeZeroesTheTailPastCount) {
+  Rng rng(31);
+  const auto internal_node = [&rng](int count) {
+    IndexNode node;
+    node.self = 9;
+    node.level = 1;
+    for (int i = 0; i < count; ++i) {
+      InternalEntry e;
+      e.child = static_cast<PageId>(rng.UniformInt(0, 1 << 20));
+      e.mbb = RandomLeafEntry(&rng).Bounds();
+      node.internals.push_back(e);
+    }
+    return node;
+  };
+  Page page;
+  internal_node(IndexNode::kCapacity).EncodeTo(&page);
+  const IndexNode small = internal_node(3);
+  small.EncodeTo(&page);
+  const size_t used = IndexNode::kHeaderSize + 3 * IndexNode::kEntrySize;
+  for (size_t i = used; i < kPageSize; ++i) {
+    ASSERT_EQ(page.bytes[i], 0) << "byte " << i;
+  }
+  // The page is the fresh encoding of the 3-entry node, byte for byte.
+  Page fresh;
+  small.EncodeTo(&fresh);
+  EXPECT_EQ(page.bytes, fresh.bytes);
+}
+
 // The page check admits exactly the two layouts the index writes and names
 // the fault in every other page.
 TEST(NodeCodecRandomTest, CheckNodePageAcceptsBothLayoutsAndNamesFaults) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -92,6 +94,154 @@ TEST(QuadraticSplitTest, SeparatesTwoClusters) {
   for (size_t i = 1; i < 36; ++i) EXPECT_EQ(group[i], group[0]);
   for (size_t i = 37; i < 73; ++i) EXPECT_EQ(group[i], group[36]);
   EXPECT_NE(group[0], group[36]);
+}
+
+// The textbook form of the quadratic split: PickNext re-costs every
+// unassigned box against both groups in every round. QuadraticSplit keeps
+// the costs and re-costs only the group whose cover grew; the decisions
+// must be bitwise the same. `take_all` and `ties` count how often the
+// min-fill take-all branch and the equal-cost tie-break ran.
+struct ReferenceGrowCost {
+  double dvolume;
+  double dmargin;
+  double volume;
+
+  bool operator<(const ReferenceGrowCost& o) const {
+    if (dvolume != o.dvolume) return dvolume < o.dvolume;
+    if (dmargin != o.dmargin) return dmargin < o.dmargin;
+    return volume < o.volume;
+  }
+};
+
+ReferenceGrowCost ReferenceCostOf(const Mbb3& base, const Mbb3& add) {
+  const Mbb3 u = Mbb3::Union(base, add);
+  return {u.Volume() - base.Volume(), u.Margin() - base.Margin(),
+          base.Volume()};
+}
+
+std::vector<int> ReferenceQuadraticSplit(const std::vector<Mbb3>& boxes,
+                                         int min_fill, int* take_all,
+                                         int* ties) {
+  const int n = static_cast<int>(boxes.size());
+  int seed_a = 0;
+  int seed_b = 1;
+  double worst = -std::numeric_limits<double>::infinity();
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      const Mbb3 u = Mbb3::Union(boxes[i], boxes[j]);
+      const double dead =
+          u.Volume() - boxes[i].Volume() - boxes[j].Volume() +
+          1e-9 * (u.Margin() - boxes[i].Margin() - boxes[j].Margin());
+      if (dead > worst) {
+        worst = dead;
+        seed_a = i;
+        seed_b = j;
+      }
+    }
+  }
+  std::vector<int> group(boxes.size(), -1);
+  group[seed_a] = 0;
+  group[seed_b] = 1;
+  Mbb3 cover[2] = {boxes[seed_a], boxes[seed_b]};
+  int count[2] = {1, 1};
+  int remaining = n - 2;
+  while (remaining > 0) {
+    for (int g = 0; g < 2; ++g) {
+      if (count[g] + remaining == min_fill) {
+        ++*take_all;
+        for (int i = 0; i < n; ++i) {
+          if (group[i] < 0) {
+            group[i] = g;
+            cover[g].Expand(boxes[i]);
+            ++count[g];
+          }
+        }
+        remaining = 0;
+        break;
+      }
+    }
+    if (remaining == 0) break;
+    int pick = -1;
+    double best_diff = -1.0;
+    ReferenceGrowCost pick_cost[2] = {};
+    for (int i = 0; i < n; ++i) {
+      if (group[i] >= 0) continue;
+      const ReferenceGrowCost c0 = ReferenceCostOf(cover[0], boxes[i]);
+      const ReferenceGrowCost c1 = ReferenceCostOf(cover[1], boxes[i]);
+      const double diff = std::abs(c0.dvolume - c1.dvolume) +
+                          1e-9 * std::abs(c0.dmargin - c1.dmargin);
+      if (diff > best_diff) {
+        best_diff = diff;
+        pick = i;
+        pick_cost[0] = c0;
+        pick_cost[1] = c1;
+      }
+    }
+    int g;
+    if (pick_cost[0] < pick_cost[1]) {
+      g = 0;
+    } else if (pick_cost[1] < pick_cost[0]) {
+      g = 1;
+    } else {
+      ++*ties;
+      g = count[0] <= count[1] ? 0 : 1;
+    }
+    group[pick] = g;
+    cover[g].Expand(boxes[pick]);
+    ++count[g];
+    --remaining;
+  }
+  return group;
+}
+
+TEST(QuadraticSplitTest, MatchesTheReferenceSplitBitwise) {
+  Rng rng(2024);
+  int take_all = 0;
+  int ties = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const int shape = trial % 4;
+    const int n = trial % 8 == 0
+                      ? static_cast<int>(rng.UniformInt(2, 20))
+                      : IndexNode::kCapacity + 1;
+    std::vector<Mbb3> boxes;
+    for (int i = 0; i < n; ++i) {
+      if (i > 0 && rng.Bernoulli(0.15)) {
+        // Duplicate box.
+        boxes.push_back(boxes[rng.UniformIndex(boxes.size())]);
+        continue;
+      }
+      TPoint a{rng.Uniform(0, 10), {rng.Uniform(0, 10), rng.Uniform(0, 10)}};
+      TPoint b{a.t + rng.Uniform(0.01, 1.0),
+               {a.p.x + rng.Uniform(-1, 1), a.p.y + rng.Uniform(-1, 1)}};
+      if (shape == 1) {
+        // Zero-volume segment boxes: stationary objects and moves along
+        // one axis only.
+        if (rng.Bernoulli(0.5)) b.p.x = a.p.x;
+        if (rng.Bernoulli(0.5)) b.p.y = a.p.y;
+      } else if (shape == 2) {
+        // Unit steps on an integer grid: many exactly equal costs.
+        a = {std::floor(a.t), {std::floor(a.p.x), std::floor(a.p.y)}};
+        b = {a.t + 1.0, {a.p.x + 1.0, a.p.y}};
+      } else if (shape == 3) {
+        // Every box the same stationary point: all costs tie at zero.
+        a = {1.0, {2.0, 3.0}};
+        b = {2.0, {2.0, 3.0}};
+      }
+      boxes.push_back(Mbb3::OfSegment(a, b));
+    }
+    // Sweep min_fill up to n / 2, where the take-all branch fires most.
+    const int max_fill = n / 2;
+    const int min_fill =
+        trial % 3 == 0 ? max_fill
+                       : static_cast<int>(rng.UniformInt(1, max_fill));
+    const std::vector<int> want =
+        ReferenceQuadraticSplit(boxes, min_fill, &take_all, &ties);
+    ASSERT_EQ(QuadraticSplit(boxes, min_fill), want)
+        << "trial " << trial << " n " << n << " min_fill " << min_fill;
+  }
+  // The sweep reached the branches the equivalence is about.
+  EXPECT_GT(take_all, 0);
+  EXPECT_GT(ties, 0);
 }
 
 TEST(RStarSplitTest, RespectsMinFill) {
